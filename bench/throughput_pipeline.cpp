@@ -33,8 +33,8 @@
 // "workers_effective" field (TWIDDC_WORKERS / set_workers land here).
 // PR 10 adds "figure1:packed_fir" (cross-channel packed kernels vs
 // monolithic per-channel chains at 64 channels, one line per kernel tier)
-// and "figure1:da_vs_mac" (distributed-arithmetic FIR lowering vs the MAC
-// kernels, bit-exact, with the energy model's multiplier-vs-ROM numbers),
+// and "figure1:da_vs_mac" (the distributed-arithmetic FIR model vs the MAC
+// kernel, bit-exact, with the energy model's multiplier-vs-ROM numbers),
 // and every line is teed through benchutil::emit, so --out FILE /
 // TWIDDC_BENCH_OUT appends BENCH_<name>.json records for the trajectory.
 #include <algorithm>
@@ -63,6 +63,7 @@
 #include "src/core/float_ddc.hpp"
 #include "src/core/plan_compiler.hpp"
 #include "src/dsp/cic.hpp"
+#include "src/dsp/da_fir.hpp"
 #include "src/dsp/fir.hpp"
 #include "src/energy/da_model.hpp"
 #include "src/dsp/fir_design.hpp"
@@ -175,57 +176,76 @@ void bench_fused_vs_staged() {
 
 // ----------------------------------------------------------- DA vs MAC FIR
 
-// Distributed-arithmetic lowering headline: the same compiled Figure-1 plan
-// executed with the FIR tail forced to the MAC kernels and forced to the
-// 4-bit-slice DA engine, bit-exactness asserted inline (the DA per-tile
-// fits-guard makes the lowering unconditionally exact).  Software
-// throughput usually favours MAC -- the SIMD dot kernels are the fast path
-// -- so the line exists to keep the DA path honest in the trajectory and to
-// surface the hardware-side trade the energy model quantifies: zero
-// multipliers vs ROM bits and W lookups per output (arXiv:1403.4554
-// direction).
+// Distributed arithmetic as a hardware model, measured at the kernel level:
+// the Figure-1 FIR stage's real input windows (the CIC5 output of a staged
+// run, captured through an observation tap) evaluated by the bit-serial
+// dsp::DaFirEngine and by the simd::dot_i64 MAC kernel.  Bit-exactness is
+// asserted inline over every window: DA == MAC, and the conditioned MAC dots
+// equal the staged FIR stage's outputs.  Software throughput favours MAC --
+// the line keeps the DA model honest in the trajectory -- while the energy
+// model's numbers carry the hardware trade: zero multipliers vs ROM bits and
+// W lookups per output (arXiv:1403.4554 direction).  Rates count FIR-stage
+// input samples.
 //   {"bench": "throughput_pipeline", "chain": "figure1:da_vs_mac",
 //    "mac_msamples_per_s": ..., "da_msamples_per_s": ..., "bit_exact": true,
 //    "da_stages": 1, "mac_multipliers": ..., "da_table_bits": ..., ...}
 
 void bench_da_vs_mac() {
-  using twiddc::core::FirLoweringPolicy;
   const auto cfg = DdcConfig::reference(10.0e6);
-  const auto spec = DatapathSpec::wide16();
-  const auto plan = ChainPlan::figure1(cfg, spec);
+  const auto plan = ChainPlan::figure1(cfg, DatapathSpec::wide16());
   const auto input = figure1_stimulus(cfg, kBlock);
-  const auto compiled =
-      twiddc::core::CompiledPlanCache::instance().get_or_compile(plan);
+  const std::size_t fir = plan.stages.size() - 1;
+  const twiddc::core::StageSpec& st = plan.stages[fir];
 
-  const FirLoweringPolicy saved = twiddc::core::fir_lowering_policy();
+  // [zero delay line | the FIR stage's input stream], and its outputs.
+  std::vector<std::int64_t> window(st.taps.size() - 1, 0);
+  std::vector<std::int64_t> staged_out;
+  twiddc::core::DdcPipeline staged(plan);
+  staged.rail(0).set_tap(fir - 1, &window);
+  staged.rail(0).set_tap(fir, &staged_out);
+  std::vector<IqSample> sink;
+  staged.process_block(input, sink);
+  const std::size_t fir_in = window.size() - (st.taps.size() - 1);
+
+  const auto costs = twiddc::energy::plan_fir_costs(plan);
+  const std::vector<std::int64_t> rev(st.taps.rbegin(), st.taps.rend());
+  const twiddc::dsp::DaFirEngine da(std::make_shared<const std::vector<std::int64_t>>(
+                                        twiddc::dsp::DaFirEngine::build_tables(rev)),
+                                    rev.size(), costs.back().input_bits);
+  const bool narrow_ok = twiddc::simd::all_fit_i32(rev.data(), rev.size()) &&
+                         twiddc::simd::all_fit_i32(window.data(), window.size());
+  const auto d = static_cast<std::size_t>(st.decimation);
   double rate[2] = {0.0, 0.0};
-  std::vector<IqSample> out[2];
-  std::size_t da_stages = 0;
-  for (const bool da : {false, true}) {
-    twiddc::core::set_fir_lowering_policy(da ? FirLoweringPolicy::kForceDa
-                                             : FirLoweringPolicy::kForceMac);
-    twiddc::core::FusedChainExec exec(compiled);
-    if (da) {
-      for (std::size_t s = 0; s < plan.stages.size(); ++s)
-        if (exec.active_lowering(s) == twiddc::core::FirLowering::kDa)
-          ++da_stages;
-    }
-    std::vector<IqSample> sink;
-    const Throughput t = measure_throughput(input.size(), [&] {
-      sink.clear();
-      exec.process_block(input, sink);
-    });
-    rate[da ? 1 : 0] = t.msamples_per_s();
-    exec.reset();
-    exec.process_block(input, out[da ? 1 : 0]);
+  std::vector<std::int64_t> dots[2];
+  for (const bool use_da : {false, true}) {
+    std::vector<std::int64_t>& o = dots[use_da ? 1 : 0];
+    rate[use_da ? 1 : 0] = measure_throughput(fir_in, [&] {
+                             o.clear();
+                             for (std::size_t j = d - 1; j < fir_in; j += d)
+                               o.push_back(use_da ? da.dot(window.data() + j)
+                                                  : twiddc::simd::dot_i64(
+                                                        rev.data(), window.data() + j,
+                                                        rev.size(), narrow_ok));
+                           }).msamples_per_s();
   }
-  twiddc::core::set_fir_lowering_policy(saved);
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+  twiddc::simd::minmax_i64(window.data(), window.size(), lo, hi);
+  std::vector<std::int64_t> conditioned;
+  for (std::int64_t v : dots[0])
+    conditioned.push_back(twiddc::fixed::narrow(
+        twiddc::fixed::shift_right(v, st.post_shift, st.rounding), st.narrow_bits,
+        twiddc::fixed::Overflow::kSaturate));
+  const bool bit_exact = da.fits(lo, hi) && !dots[0].empty() && dots[0] == dots[1] &&
+                         conditioned == staged_out;
 
-  // Hardware-side costs of the same FIR stages, from the shared cost model.
+  // Hardware-side costs of the plan's FIR stages, from the shared cost model.
+  std::size_t da_stages = 0;
   std::size_t multipliers = 0;
   std::size_t table_bits = 0;
   std::size_t lookups = 0;
-  for (const auto& c : twiddc::energy::plan_fir_costs(plan)) {
+  for (const auto& c : costs) {
+    da_stages += c.da_eligible ? 1 : 0;
     multipliers += c.multipliers;
     table_bits += c.table_bits;
     lookups += c.lookups_per_output;
@@ -237,7 +257,7 @@ void bench_da_vs_mac() {
       .field("mac_msamples_per_s", rate[0])
       .field("da_msamples_per_s", rate[1])
       .field("da_over_mac", rate[0] > 0.0 ? rate[1] / rate[0] : 0.0)
-      .field("bit_exact", out[0] == out[1])
+      .field("bit_exact", bit_exact)
       .field("da_stages", da_stages)
       .field("mac_multipliers", multipliers)
       .field("da_table_bits", table_bits)
@@ -544,9 +564,9 @@ void bench_channel_bank() {
 
 // Cross-channel packing headline: 64 identical-geometry Figure-1 channels
 // (detuned NCOs, same CIC/FIR geometry, so the bank packs them 4 or 8 to a
-// register) on ONE worker, the packed cross-channel kernels (CIC
-// packed4/packed8 plus the FIR tail lane-packing) against the same bank
-// with set_packing(false) -- monolithic per-channel chains.  One line per
+// register) on ONE worker, the packed lane groups (CIC packed4/packed8 on
+// every CIC stage plus the shared-tap FIR dots) against the same bank with
+// set_packing(false) -- one-lane executors per channel.  One line per
 // available kernel tier: the AVX-512 runtime cap is forced off for the
 // "avx2" line (on builds without AVX2 intrinsics that line degrades to the
 // scalar tier and the speedup sits near 1), and an "avx512" line is added

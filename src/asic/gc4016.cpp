@@ -229,25 +229,18 @@ void Gc4016Channel::process_block(std::span<const std::int64_t> in,
   for (const auto& y : scratch_) out.push_back(Gc4016Output{channel_index_, y.i, y.q});
 }
 
-namespace {
-std::vector<core::ChainPlan> figure4_plans(const Gc4016Config& config) {
-  config.validate();
-  std::vector<core::ChainPlan> plans;
-  plans.reserve(config.channels.size());
-  for (const auto& ch : config.channels)
-    plans.push_back(
-        Gc4016Channel::figure4_plan(ch, config.input_rate_hz, config.input_bits));
-  return plans;
-}
-}  // namespace
-
-Gc4016::Gc4016(const Gc4016Config& config)
-    : config_(config), bank_(figure4_plans(config)) {
-  for (std::size_t c = 0; c < config.channels.size(); ++c) {
-    channels_.push_back(Gc4016Channel(config.channels[c], &bank_.channel(c),
-                                      static_cast<int>(c)));
-    bank_.set_enabled(c, config.channels[c].enabled);
-  }
+Gc4016::Gc4016(const Gc4016Config& config) : config_(config) {
+  config_.validate();
+  // Pipelines first, never resized afterwards: each channel keeps a pointer
+  // to its own.
+  pipelines_.reserve(config_.channels.size());
+  for (const auto& ch : config_.channels)
+    pipelines_.emplace_back(
+        Gc4016Channel::figure4_plan(ch, config_.input_rate_hz, config_.input_bits));
+  for (std::size_t c = 0; c < config_.channels.size(); ++c)
+    channels_.push_back(
+        Gc4016Channel(config_.channels[c], &pipelines_[c], static_cast<int>(c)));
+  planar_.resize(channels_.size());
 }
 
 void Gc4016::process_block(std::span<const std::int64_t> in,
@@ -272,7 +265,7 @@ void Gc4016::process_block(std::span<const std::int64_t> in,
   std::vector<Cursor> cursors;
   for (std::size_t c = 0; c < channels_.size(); ++c) {
     if (!config_.channels[c].enabled) continue;
-    auto& pipe = bank_.channel(c);
+    const auto& pipe = pipelines_[c];
     const auto d = static_cast<std::uint64_t>(pipe.total_decimation());
     // The pre-block sample count is mid-revolution in general; the first
     // output of this block appears once the count reaches the next multiple
@@ -281,8 +274,10 @@ void Gc4016::process_block(std::span<const std::int64_t> in,
     cursors.push_back(Cursor{c, (pre / d + 1) * d - pre, d});
   }
 
-  for (auto& p : planar_) p.clear();
-  bank_.process_block(in, planar_);
+  for (const auto& cur : cursors) {
+    planar_[cur.channel].clear();
+    pipelines_[cur.channel].process_block(in, planar_[cur.channel]);
+  }
 
   // Merge planar outputs back into the per-cycle order push() produces:
   // ascending output instant, channel index breaking ties; kAdd sums

@@ -92,14 +92,7 @@ class NativeBackend final : public BackendBase {
   void swap_plan(const ChainPlan& plan, SwapMode mode) override {
     require_configured();
     try {
-      // Compile (or fetch) first so a bad plan throws before any state moves
-      // -- the old plan stays active, matching DdcPipeline::swap_plan.
-      auto compiled = core::CompiledPlanCache::instance().get_or_compile(plan);
-      if (mode == SwapMode::kFlush) {
-        exec_.emplace(std::move(compiled));  // fresh state, like a reconfigure
-      } else {
-        exec_->splice(std::move(compiled));  // throws if structurally incompatible
-      }
+      exec_->swap_plan(plan, mode);  // a rejected swap leaves the old plan running
     } catch (const LoweringError&) {
       throw;
     } catch (const ConfigError& e) {

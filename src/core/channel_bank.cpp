@@ -4,30 +4,25 @@
 #include <exception>
 #include <map>
 #include <string>
-#include <tuple>
 
 #include "src/common/error.hpp"
 #include "src/common/simd.hpp"
-#include "src/dsp/cic.hpp"
-#include "src/dsp/fir.hpp"
-#include "src/fixed/qformat.hpp"
 
 namespace twiddc::core {
 namespace {
-// Channels are advanced tile by tile so each channel's per-block scratch
-// (mixer planar buffers, rail ping-pong buffers) stays cache-resident
-// instead of streaming a full block's worth per channel.  Pipelines are
-// streaming-composable, so tiling is bit-exact with one monolithic call --
-// and a tile is also the stealable unit: between tiles a channel's
-// continuation sits in a scheduler deque where an idle worker can claim it.
+// Units are advanced tile by tile so the shared input stays cache-resident
+// while every unit walks it, and a tile is also the stealable unit: between
+// tiles a unit's continuation sits in a scheduler deque where an idle
+// worker can claim it.  Executors are streaming-composable, so tiling is
+// bit-exact with one monolithic call.
 constexpr std::size_t kTileSamples = 8192;
 }  // namespace
 
 ChannelBank::ChannelBank(const std::vector<ChainPlan>& plans, int workers) {
   if (plans.empty()) throw ConfigError("ChannelBank: needs at least one plan");
   channels_.reserve(plans.size());
-  for (const auto& plan : plans) channels_.emplace_back(plan);
-  enabled_.assign(channels_.size(), 1);
+  for (const auto& plan : plans)
+    channels_.emplace_back(CompiledPlanCache::instance().get_or_compile(plan));
   set_workers(workers);
 }
 
@@ -54,250 +49,62 @@ void ChannelBank::set_workers(int workers) {
   }
 }
 
-bool ChannelBank::packable(std::size_t c) {
-  DdcPipeline& p = channels_[c];
-  // Observation taps see per-stage intermediates that a split chain does not
-  // produce in one place; such channels keep the monolithic path.
-  if (p.has_mixer_tap()) return false;
-  const ChainPlan& plan = p.plan();
-  if (plan.stages.empty() || plan.stages[0].kind != StageSpec::Kind::kCic)
-    return false;
-  if (!plan.stages[0].prune_shifts.empty()) return false;
-  for (int r = 0; r < 2; ++r) {
-    StageChain<std::int64_t>& rail = p.rail(r);
-    if (rail.has_taps()) return false;
-    if (rail.size() == 0 || rail.stage(0).cic_kernel() == nullptr) return false;
-  }
-  return true;
-}
-
-std::vector<ChannelBank::Unit> ChannelBank::make_units() {
+std::vector<ChannelBank::Unit> ChannelBank::make_units() const {
   std::vector<Unit> units;
-  // Packing groups: identical first-stage CIC geometry AND decimation phase
-  // (lanes must hit decimation boundaries in lockstep).  Channels are
-  // normally constructed and fed together so phases agree; a channel that
-  // was disabled for a while simply lands in its own group.
-  std::map<std::tuple<int, int, int, int, std::uint64_t>, std::vector<std::size_t>>
-      groups;
-  for (std::size_t c = 0; c < channels_.size(); ++c) {
-    if (!enabled_[c]) continue;
-    if (!packing_ || !packable(c)) {
-      units.push_back(Unit{{c}, 1});
-      continue;
-    }
-    dsp::CicDecimator* k = channels_[c].rail(0).stage(0).cic_kernel();
-    const auto& cfg = k->config();
-    groups[{cfg.stages, cfg.decimation, cfg.diff_delay, k->register_bits(),
-            k->samples_in() % static_cast<std::uint64_t>(cfg.decimation)}]
-        .push_back(c);
+  if (!packing_) {
+    for (std::size_t c = 0; c < channels_.size(); ++c) units.push_back(Unit{{c}, 1});
+    return units;
   }
+  // Lane groups share a structure, so they advance stage by stage in
+  // lockstep; whether each stage actually packs is up to the kernels.
+  std::map<std::string, std::vector<std::size_t>> groups;
+  for (std::size_t c = 0; c < channels_.size(); ++c)
+    groups[channels_[c].compiled().structural_key()].push_back(c);
   // Octets only when the AVX-512 tier is actually up right now; an octet on
-  // an AVX2-only box would decline packed8 and split into packed4 halves,
-  // which quads already express directly.
-  const bool octets = simd::avx512_active();
-  for (auto& [key, chs] : groups) {
+  // an AVX2-only box would split into quad halves, which quads already
+  // express directly.
+  const int widest = simd::avx512_active() ? 8 : 4;
+  for (const auto& [key, chs] : groups) {
     std::size_t i = 0;
-    if (octets) {
-      for (; i + 8 <= chs.size(); i += 8) {
+    for (int width = widest; width >= 4; width /= 2) {
+      for (; i + static_cast<std::size_t>(width) <= chs.size();
+           i += static_cast<std::size_t>(width)) {
         Unit u;
-        u.lanes = 8;
-        for (int l = 0; l < 8; ++l) u.ch[l] = chs[i + static_cast<std::size_t>(l)];
+        u.lanes = width;
+        std::copy_n(chs.begin() + static_cast<std::ptrdiff_t>(i), width, u.ch);
         units.push_back(u);
       }
     }
-    for (; i + 4 <= chs.size(); i += 4)
-      units.push_back(Unit{{chs[i], chs[i + 1], chs[i + 2], chs[i + 3]}, 4});
     for (; i < chs.size(); ++i) units.push_back(Unit{{chs[i]}, 1});
   }
   // Submit in channel order, not group-key order: scheduling (and therefore
   // the work-stealing interleave the bank's tests pin down) stays identical
-  // to the pre-packing per-channel path whenever no quad forms.
+  // to the per-channel path whenever no group forms.
   std::sort(units.begin(), units.end(),
             [](const Unit& a, const Unit& b) { return a.ch[0] < b.ch[0]; });
   return units;
 }
 
-void ChannelBank::run_packed_tail(const Unit& unit, int r,
-                                  std::vector<std::int64_t>* cur[],
-                                  std::vector<std::int64_t>* spare[],
-                                  std::vector<std::int64_t>* fin[]) {
-  const int L = unit.lanes;
-  StageChain<std::int64_t>* rails[8];
-  const std::size_t nstages = channels_[unit.ch[0]].rail(r).size();
-  bool lockstep = true;
-  for (int l = 0; l < L; ++l) {
-    rails[l] = &channels_[unit.ch[l]].rail(r);
-    lockstep = lockstep && rails[l]->size() == nstages;
+void ChannelBank::run_tile(const Unit& unit, std::span<const std::int64_t> tile,
+                           std::vector<std::vector<IqSample>>& out) {
+  FusedChainExec* lanes[FusedChainExec::kMaxLanes];
+  std::vector<IqSample>* outs[FusedChainExec::kMaxLanes];
+  for (int l = 0; l < unit.lanes; ++l) {
+    lanes[l] = &channels_[unit.ch[l]];
+    outs[l] = &out[unit.ch[l]];
   }
-  std::size_t s = 1;
-  for (; lockstep && s < nstages; ++s) {
-    // A stage packs when every lane exposes the same FIR kernel kind and the
-    // lanes' sample streams are still in lockstep; the kernel itself checks
-    // the rest (shared taps, decimation, phase, SIMD tier) and declines
-    // without touching state otherwise.
-    dsp::FirDecimator<std::int64_t>* fk[8];
-    dsp::PolyphaseFirDecimator<std::int64_t>* pk[8];
-    bool all_fir = true;
-    bool all_poly = true;
-    bool sizes_ok = true;
-    for (int l = 0; l < L; ++l) {
-      fk[l] = rails[l]->stage(s).fir_kernel();
-      pk[l] = rails[l]->stage(s).polyphase_kernel();
-      all_fir = all_fir && fk[l] != nullptr;
-      all_poly = all_poly && pk[l] != nullptr;
-      sizes_ok = sizes_ok && cur[l]->size() == cur[0]->size();
-    }
-    if ((!all_fir && !all_poly) || !sizes_ok) break;
-    const std::size_t n = cur[0]->size();
-    const std::int64_t* ins[8];
-    std::vector<std::int64_t>* outs[8];
-    for (int l = 0; l < L; ++l) {
-      ins[l] = cur[l]->data();
-      spare[l]->clear();
-      outs[l] = spare[l];
-    }
-    const bool packed =
-        all_fir ? dsp::FirDecimator<std::int64_t>::process_block_packed(fk, L, ins,
-                                                                        n, outs)
-                : dsp::PolyphaseFirDecimator<std::int64_t>::process_block_packed(
-                      pk, L, ins, n, outs);
-    if (!packed) break;
-    // The kernels bypass the stage's output conditioning; apply it here,
-    // identically to the stage's own block path.
-    for (int l = 0; l < L; ++l) {
-      const StageSpec& st = channels_[unit.ch[l]].plan().stages[s];
-      for (std::int64_t& v : *outs[l]) {
-        v = fixed::shift_right(v, st.post_shift, st.rounding);
-        if (st.narrow_bits != 0)
-          v = fixed::narrow(v, st.narrow_bits, fixed::Overflow::kSaturate);
-      }
-      std::swap(cur[l], spare[l]);
-    }
-  }
-  for (int l = 0; l < L; ++l) {
-    if (lockstep && s >= nstages)
-      fin[l]->swap(*cur[l]);  // every stage packed; cur holds the rail output
-    else
-      rails[l]->process_block_from(s, *cur[l], *fin[l]);
-  }
-}
-
-void ChannelBank::run_packed_tile(const Unit& unit,
-                                  std::span<const std::int64_t> tile,
-                                  std::vector<std::vector<IqSample>>& out,
-                                  PackScratch& s) {
-  const std::size_t m = tile.size();
-  const int L = unit.lanes;
-  // Same all-or-nothing contract as DdcPipeline::process_block: range-check
-  // the tile against every lane's input width before any state advances.
-  std::int64_t lo = 0;
-  std::int64_t hi = 0;
-  simd::minmax_i64(tile.data(), m, lo, hi);
-  for (int l = 0; l < L; ++l) {
-    const int bits = channels_[unit.ch[l]].plan().front_end.input_bits;
-    if (!fixed::fits_bits(lo, bits) || !fixed::fits_bits(hi, bits)) {
-      const std::int64_t bad = fixed::fits_bits(lo, bits) ? hi : lo;
-      throw SimulationError("ChannelBank: input " + std::to_string(bad) +
-                            " does not fit " + std::to_string(bits) + " bits");
-    }
-  }
-
-  // Front end per lane: the NCO and mixer already vectorise along time
-  // through the simd shim, so cross-channel packing buys nothing there.
-  dsp::CicDecimator* kern_i[8];
-  dsp::CicDecimator* kern_q[8];
-  const std::int64_t* in_i[8];
-  const std::int64_t* in_q[8];
-  std::vector<std::int64_t>* out_i[8];
-  std::vector<std::int64_t>* out_q[8];
-  for (int l = 0; l < L; ++l) {
-    DdcPipeline& p = channels_[unit.ch[l]];
-    s.cs[l].resize(m);
-    s.sn[l].resize(m);
-    p.nco().next_block(s.cs[l], s.sn[l]);
-    s.mix_i[l].resize(m);
-    s.mix_q[l].resize(m);
-    p.mixer().mix_block(tile, s.cs[l], s.sn[l], s.mix_i[l], s.mix_q[l]);
-    s.cic_i[l].clear();
-    s.cic_q[l].clear();
-    kern_i[l] = p.rail(0).stage(0).cic_kernel();
-    kern_q[l] = p.rail(1).stage(0).cic_kernel();
-    in_i[l] = s.mix_i[l].data();
-    in_q[l] = s.mix_q[l].data();
-    out_i[l] = &s.cic_i[l];
-    out_q[l] = &s.cic_q[l];
-  }
-
-  // The packed CIC leg: all lanes' integrator cascades per register, one
-  // pass for the I rails and one for the Q rails.  Octets try the AVX-512
-  // kernel first and degrade to AVX2 quad pairs, then to per-lane blocks;
-  // every kernel declines without touching state, so any mix is bit-exact.
-  const auto run_cic = [m, L](dsp::CicDecimator* const kern[],
-                              const std::int64_t* const in[],
-                              std::vector<std::int64_t>* const outp[]) {
-    if (L == 8 && dsp::CicDecimator::process_block_packed8(kern, in, m, outp))
-      return;
-    for (int base = 0; base < L; base += 4) {
-      if (base + 4 <= L &&
-          dsp::CicDecimator::process_block_packed4(kern + base, in + base, m,
-                                                   outp + base))
-        continue;
-      const int end = std::min(base + 4, L);
-      for (int l = base; l < end; ++l)
-        kern[l]->process_block(std::span(in[l], m), *outp[l]);
-    }
-  };
-  run_cic(kern_i, in_i, out_i);
-  run_cic(kern_q, in_q, out_q);
-
-  // Stage-0 conditioning per lane.
-  for (int l = 0; l < L; ++l) {
-    const StageSpec& st0 = channels_[unit.ch[l]].plan().stages[0];
-    for (std::vector<std::int64_t>* rail : {&s.cic_i[l], &s.cic_q[l]}) {
-      for (std::int64_t& v : *rail) {
-        v = fixed::shift_right(v, st0.post_shift, st0.rounding);
-        if (st0.narrow_bits != 0)
-          v = fixed::narrow(v, st0.narrow_bits, fixed::Overflow::kSaturate);
-      }
-    }
-  }
-
-  // Tail stages: packed FIR across lanes while legal, per-lane otherwise.
-  std::vector<std::int64_t>* cur[8];
-  std::vector<std::int64_t>* spare[8];
-  std::vector<std::int64_t>* fin[8];
-  for (int r = 0; r < 2; ++r) {
-    for (int l = 0; l < L; ++l) {
-      cur[l] = r == 0 ? &s.cic_i[l] : &s.cic_q[l];
-      s.tail[l].clear();
-      spare[l] = &s.tail[l];
-      fin[l] = r == 0 ? &s.rail_i[l] : &s.rail_q[l];
-      fin[l]->clear();
-    }
-    run_packed_tail(unit, r, cur, spare, fin);
-  }
-
-  for (int l = 0; l < L; ++l) {
-    DdcPipeline& p = channels_[unit.ch[l]];
-    if (s.rail_i[l].size() != s.rail_q[l].size())
-      throw SimulationError("ChannelBank: I/Q rails lost rate lock");
-    std::vector<IqSample>& o = out[unit.ch[l]];
-    o.reserve(o.size() + s.rail_i[l].size());
-    for (std::size_t j = 0; j < s.rail_i[l].size(); ++j)
-      o.push_back(IqSample{s.rail_i[l][j], s.rail_q[l][j]});
-    p.note_packed_block(m, s.rail_i[l].size());
-  }
+  FusedChainExec::process_lanes(lanes, unit.lanes, tile, outs);
 }
 
 void ChannelBank::run_tile_chain(std::span<const std::int64_t> in,
-                                 std::vector<IqSample>& out,
-                                 common::TaskScheduler::Group group,
-                                 std::size_t channel, std::size_t offset) {
+                                 std::vector<std::vector<IqSample>>& out,
+                                 common::TaskScheduler::Group group, Unit unit,
+                                 std::size_t offset) {
   try {
     for (;;) {
       const std::span<const std::int64_t> tile =
           in.subspan(offset, std::min(kTileSamples, in.size() - offset));
-      channels_[channel].process_block(tile, out);
+      run_tile(unit, tile, out);
       offset += tile.size();
       if (offset >= in.size()) {
         group.complete();
@@ -308,38 +115,12 @@ void ChannelBank::run_tile_chain(std::span<const std::int64_t> in,
         // it right back (cache-hot LIFO), but while this worker is busy
         // elsewhere an idle worker can steal the chain -- that migration is
         // what keeps skewed decimations from stalling the block barrier.
-        sched_->submit_local([this, in, &out, group, channel, offset] {
-          run_tile_chain(in, out, group, channel, offset);
+        sched_->submit_local([this, in, &out, group, unit, offset] {
+          run_tile_chain(in, out, group, unit, offset);
         });
         return;
       }
       // The fork-join caller has no deque; it keeps the chain inline.
-    }
-  } catch (...) {
-    group.fail(std::current_exception());
-  }
-}
-
-void ChannelBank::run_packed_chain(std::span<const std::int64_t> in,
-                                   std::vector<std::vector<IqSample>>& out,
-                                   common::TaskScheduler::Group group, Unit unit,
-                                   std::size_t offset, PackScratch* scratch) {
-  try {
-    for (;;) {
-      const std::span<const std::int64_t> tile =
-          in.subspan(offset, std::min(kTileSamples, in.size() - offset));
-      run_packed_tile(unit, tile, out, *scratch);
-      offset += tile.size();
-      if (offset >= in.size()) {
-        group.complete();
-        return;
-      }
-      if (sched_ && sched_->current_worker_index() >= 0) {
-        sched_->submit_local([this, in, &out, group, unit, offset, scratch] {
-          run_packed_chain(in, out, group, unit, offset, scratch);
-        });
-        return;
-      }
     }
   } catch (...) {
     group.fail(std::current_exception());
@@ -351,50 +132,31 @@ void ChannelBank::process_block(std::span<const std::int64_t> in,
   out.resize(channels_.size());
   if (in.empty()) return;
   const std::vector<Unit> units = make_units();
-  if (units.empty()) return;
 
   const auto n_workers =
       static_cast<std::size_t>(std::min<int>(workers_, static_cast<int>(units.size())));
   if (n_workers <= 1 || !sched_) {
     // Serial mode: tile-outer, unit-inner -- every unit advances through
     // tile t before any unit starts tile t+1.
-    PackScratch scratch;
     for (std::size_t off = 0; off < in.size(); off += kTileSamples) {
       const std::span<const std::int64_t> tile =
           in.subspan(off, std::min(kTileSamples, in.size() - off));
-      for (const Unit& u : units) {
-        if (u.lanes == 1)
-          channels_[u.ch[0]].process_block(tile, out[u.ch[0]]);
-        else
-          run_packed_tile(u, tile, out, scratch);
-      }
+      for (const Unit& u : units) run_tile(u, tile, out);
     }
     return;
   }
 
-  // One tile chain per unit (single channel or packed quad), spread
-  // round-robin over the worker inboxes; the caller joins through wait(),
-  // stealing and executing chains alongside the pool.  Units touch disjoint
-  // channels and output vectors, so any steal-driven interleaving is
-  // bit-exact with serial execution; the only shared read is `in`.
-  std::vector<std::unique_ptr<PackScratch>> scratches;
-  for (const Unit& u : units)
-    if (u.lanes > 1) scratches.push_back(std::make_unique<PackScratch>());
+  // One tile chain per unit, spread round-robin over the worker inboxes;
+  // the caller joins through wait(), stealing and executing chains
+  // alongside the pool.  Units touch disjoint channels and output vectors,
+  // so any steal-driven interleaving is bit-exact with serial execution;
+  // the only shared read is `in`.
   common::TaskScheduler::Group group;
   group.expect(units.size());
-  std::size_t si = 0;
   for (std::size_t k = 0; k < units.size(); ++k) {
-    const Unit u = units[k];
-    if (u.lanes == 1) {
-      sched_->submit_to(static_cast<int>(k), [this, in, &out, group, u] {
-        run_tile_chain(in, out[u.ch[0]], group, u.ch[0], 0);
-      });
-    } else {
-      PackScratch* scratch = scratches[si++].get();
-      sched_->submit_to(static_cast<int>(k), [this, in, &out, group, u, scratch] {
-        run_packed_chain(in, out, group, u, 0, scratch);
-      });
-    }
+    sched_->submit_to(static_cast<int>(k), [this, in, &out, group, u = units[k]] {
+      run_tile_chain(in, out, group, u, 0);
+    });
   }
   sched_->wait(group);
   group.rethrow_if_error();

@@ -1,48 +1,35 @@
-// twiddc::core -- multi-channel batch engine over the stage pipeline.
+// twiddc::core -- multi-channel batch engine over the fused executor.
 //
-// A ChannelBank owns N independent DdcPipeline channels (GC4016-style: same
-// antenna feed, per-channel NCO/decimation/topology) and processes them all
-// against ONE shared input block.  Outputs stay planar (one vector per
-// channel), so a channel's stream is contiguous and the block pass touches
-// the shared input once per channel while it is hot in cache.
+// A ChannelBank owns N independent channels (GC4016-style: same antenna
+// feed, per-channel NCO/decimation/topology), each a core::FusedChainExec
+// over a plan resolved through the process-wide CompiledPlanCache, and
+// processes them all against ONE shared input block.  Outputs stay planar
+// (one vector per channel), so a channel's stream is contiguous and the
+// block pass touches the shared input once per channel while it is hot in
+// cache.
+//
+// Cross-channel packing: channels with equal structural keys (same stage
+// kinds, geometry and tap counts) are grouped eight at a time when the
+// AVX-512 tier is up, then four, and each group runs as one lane group of
+// FusedChainExec::process_lanes -- every CIC stage's integrator cascades and
+// every shared-tap FIR stage's dots run one channel per register lane.  A
+// lane that falls out of phase (a kFlush mid-stream) or a tier that is off
+// makes that stage run per lane, bit-exact either way.  set_packing(false)
+// makes every channel its own one-lane unit (the monolithic baseline the
+// packed-FIR bench compares against).
 //
 // Two execution modes:
-//   * workers == 1 (default): channels run back to back on the caller's
+//   * workers == 1 (default): units run back to back on the caller's
 //     thread -- deterministic, no synchronisation;
-//   * workers > 1: each enabled channel becomes a chain of cache-tile tasks
-//     on a persistent common::TaskScheduler (workers-1 threads; the calling
-//     thread steals and executes alongside them).  A channel's tiles run in
+//   * workers > 1: each unit becomes a chain of cache-tile tasks on a
+//     persistent common::TaskScheduler (workers-1 threads; the calling
+//     thread steals and executes alongside them).  A unit's tiles run in
 //     order -- channels are sequential state machines -- but between tiles
 //     the continuation sits in a work-stealing deque, so skewed plans
 //     (channels with very different decimations) rebalance onto idle
 //     workers instead of stalling a static shard at the block barrier.
-//     Channels are fully independent, so any interleaving is bit-exact
-//     with serial execution.
-//
-// In both modes the block is walked in cache-sized tiles so per-channel
-// scratch buffers stay hot instead of streaming the full block per channel.
-//
-// Cross-channel SIMD packing: channels whose first stage is a CIC with
-// identical geometry are grouped four (AVX2) or eight (AVX-512) at a time,
-// and the group's integrator cascades (channels x I/Q) run through
-// dsp::CicDecimator::process_block_packed4/packed8 -- one register holding
-// every lane's integrator state per cascade stage.  The cascade is a
-// loop-carried dependency chain, so it cannot vectorise along time within
-// one channel; across channels it packs perfectly.  The NCO and mixer stay
-// per-lane (they already vectorise along time through the simd shim).  The
-// FIR/polyphase tail stages also pack: stages whose lanes share tap values,
-// decimation and phase run through the multi-lane dot kernels
-// (dsp::FirDecimator::process_block_packed), so each tap broadcast feeds 4
-// or 8 channels' MACs; at the first tail stage that cannot pack
-// (mixed geometry, drifted phase, non-FIR kind) the remaining stages run
-// per lane via StageChain::process_block_from.  Packed execution is
-// bit-exact with the per-channel path, falls back to it when the SIMD tier
-// is absent or simd::set_enabled(false) is in force, and skips channels
-// with observation taps installed (a split chain cannot feed them).
-//
-// The GC4016 quad-channel model (src/asic/gc4016.cpp) is a shim over this
-// class; the throughput bench sweeps channel counts through it to track
-// scaling.
+//     Units are fully independent, so any interleaving is bit-exact with
+//     serial execution.
 #pragma once
 
 #include <cstdint>
@@ -52,12 +39,13 @@
 
 #include "src/common/task_scheduler.hpp"
 #include "src/core/pipeline.hpp"
+#include "src/core/plan_compiler.hpp"
 
 namespace twiddc::core {
 
 class ChannelBank {
  public:
-  /// Builds one pipeline per plan.  Throws ConfigError if any plan is
+  /// Builds one executor per plan.  Throws ConfigError if any plan is
   /// invalid or the list is empty.
   explicit ChannelBank(const std::vector<ChainPlan>& plans, int workers = 1);
   ~ChannelBank();
@@ -67,14 +55,11 @@ class ChannelBank {
   ChannelBank& operator=(const ChannelBank&) = delete;
 
   [[nodiscard]] std::size_t size() const { return channels_.size(); }
-  [[nodiscard]] DdcPipeline& channel(std::size_t i) { return channels_.at(i); }
-  [[nodiscard]] const DdcPipeline& channel(std::size_t i) const {
+  /// Channel i's executor; retune it through swap_plan between blocks.
+  [[nodiscard]] FusedChainExec& channel(std::size_t i) { return channels_.at(i); }
+  [[nodiscard]] const FusedChainExec& channel(std::size_t i) const {
     return channels_.at(i);
   }
-
-  /// Disabled channels are skipped by process_block (their state freezes).
-  void set_enabled(std::size_t i, bool on) { enabled_.at(i) = on; }
-  [[nodiscard]] bool enabled(std::size_t i) const { return enabled_.at(i); }
 
   /// Worker threads used by process_block (clamped to [1, channels]).
   void set_workers(int workers);
@@ -86,10 +71,10 @@ class ChannelBank {
     return sched_.get();
   }
 
-  /// Block hot path: runs every enabled channel over the shared input span.
-  /// `out` is resized to size(); channel i's outputs are *appended* to
-  /// out[i], so a caller can stream blocks into persistent planar buffers.
-  /// Bit-exact with calling each channel's process_block serially.
+  /// Block hot path: runs every channel over the shared input span.  `out`
+  /// is resized to size(); channel i's outputs are *appended* to out[i], so
+  /// a caller can stream blocks into persistent planar buffers.  Bit-exact
+  /// with calling each channel's process_block serially.
   void process_block(std::span<const std::int64_t> in,
                      std::vector<std::vector<IqSample>>& out);
 
@@ -105,62 +90,30 @@ class ChannelBank {
   [[nodiscard]] bool packing() const { return packing_; }
 
  private:
-  /// Scratch for one packed unit's tile: per-lane cos/sin, mixed rails, raw
-  /// CIC outputs, tail ping-pong and tail-chain outputs.  Tile-sized, reused
-  /// across tiles; lanes beyond unit.lanes stay empty.
-  struct PackScratch {
-    std::vector<std::int32_t> cs[8], sn[8];
-    std::vector<std::int64_t> mix_i[8], mix_q[8];
-    std::vector<std::int64_t> cic_i[8], cic_q[8];
-    std::vector<std::int64_t> tail[8];
-    std::vector<std::int64_t> rail_i[8], rail_q[8];
-  };
-  /// One execution unit of a block pass: a single channel (lanes == 1, the
-  /// per-channel path) or a packed group (lanes == 4 or 8, lockstep CIC
-  /// lanes).
+  /// One execution unit of a block pass: a lane group of 1, 4 or 8
+  /// channels that advances through process_lanes together.
   struct Unit {
-    std::size_t ch[8] = {};
+    std::size_t ch[FusedChainExec::kMaxLanes] = {};
     int lanes = 1;
   };
 
-  /// Partitions the enabled channels into packed groups + singles (octets
+  /// Partitions the channels into lane groups by structural key (octets
   /// only when the runtime AVX-512 tier is up, then quads, then singles).
-  [[nodiscard]] std::vector<Unit> make_units();
-  /// True when `c` can join a packed quad (first stage is an unpruned CIC,
-  /// no observation taps anywhere on the channel).
-  [[nodiscard]] bool packable(std::size_t c);
-
-  /// One link of a channel's tile chain: advances `channel` through the
-  /// tile at `offset`, then either re-submits itself (on a scheduler
-  /// worker: the continuation lands in the deque, where a thief can take
-  /// it) or keeps looping inline (the fork-join caller).  Completes /
-  /// fails `group` exactly once, at the channel's last tile.
+  [[nodiscard]] std::vector<Unit> make_units() const;
+  /// Advances `unit` through one tile.
+  void run_tile(const Unit& unit, std::span<const std::int64_t> tile,
+                std::vector<std::vector<IqSample>>& out);
+  /// One link of a unit's tile chain: advances the unit through the tile at
+  /// `offset`, then either re-submits itself (on a scheduler worker: the
+  /// continuation lands in the deque, where a thief can take it) or keeps
+  /// looping inline (the fork-join caller).  Completes / fails `group`
+  /// exactly once, at the unit's last tile.
   void run_tile_chain(std::span<const std::int64_t> in,
-                      std::vector<IqSample>& out,
-                      common::TaskScheduler::Group group, std::size_t channel,
+                      std::vector<std::vector<IqSample>>& out,
+                      common::TaskScheduler::Group group, Unit unit,
                       std::size_t offset);
-  /// Packed analogue of run_tile_chain: advances a quad through one tile per
-  /// link, re-submitting the continuation between tiles.
-  void run_packed_chain(std::span<const std::int64_t> in,
-                        std::vector<std::vector<IqSample>>& out,
-                        common::TaskScheduler::Group group, Unit unit,
-                        std::size_t offset, PackScratch* scratch);
-  /// Advances the group through one tile; bit-exact with running each lane's
-  /// DdcPipeline::process_block over the same tile.
-  void run_packed_tile(const Unit& unit, std::span<const std::int64_t> tile,
-                       std::vector<std::vector<IqSample>>& out,
-                       PackScratch& scratch);
-  /// Runs rail `r`'s stages [1, end) for every lane of a packed unit,
-  /// packing FIR stages across lanes while legal and falling back to
-  /// per-lane chains at the first stage that cannot pack.  `cur` holds each
-  /// lane's stage-0-conditioned samples, `spare` is ping-pong scratch, and
-  /// the rail outputs land in `fin`.
-  void run_packed_tail(const Unit& unit, int r, std::vector<std::int64_t>* cur[],
-                       std::vector<std::int64_t>* spare[],
-                       std::vector<std::int64_t>* fin[]);
 
-  std::vector<DdcPipeline> channels_;
-  std::vector<char> enabled_;  // vector<bool> has no per-element data()
+  std::vector<FusedChainExec> channels_;
   int workers_ = 1;
   bool packing_ = true;
   std::unique_ptr<common::TaskScheduler> sched_;  // workers_ - 1 threads

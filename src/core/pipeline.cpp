@@ -119,7 +119,6 @@ class FixedCicStage final : public Stage<std::int64_t> {
   void reset() override { cic_.reset(); }
   [[nodiscard]] int decimation() const override { return cic_.config().decimation; }
   [[nodiscard]] const std::string& label() const override { return label_; }
-  [[nodiscard]] dsp::CicDecimator* cic_kernel() override { return &cic_; }
 
  private:
   std::string label_;
@@ -162,18 +161,6 @@ class FixedFirStage final : public Stage<std::int64_t> {
   void reset() override { fir_.reset(); }
   [[nodiscard]] int decimation() const override { return fir_.decimation(); }
   [[nodiscard]] const std::string& label() const override { return label_; }
-  [[nodiscard]] dsp::FirDecimator<std::int64_t>* fir_kernel() override {
-    if constexpr (std::is_same_v<Filter, dsp::FirDecimator<std::int64_t>>)
-      return &fir_;
-    else
-      return nullptr;
-  }
-  [[nodiscard]] dsp::PolyphaseFirDecimator<std::int64_t>* polyphase_kernel() override {
-    if constexpr (std::is_same_v<Filter, dsp::PolyphaseFirDecimator<std::int64_t>>)
-      return &fir_;
-    else
-      return nullptr;
-  }
 
  private:
   std::string label_;
@@ -561,24 +548,6 @@ void StageChain<T>::process_block(std::span<const T> in, std::vector<T>& out) {
   }
   std::span<const T> cur = in;
   for (std::size_t i = 0; i < stages_.size(); ++i) {
-    std::vector<T>& buf = i % 2 == 0 ? scratch_a_ : scratch_b_;
-    buf.clear();
-    stages_[i]->process_block(cur, buf);
-    if (taps_[i]) taps_[i]->insert(taps_[i]->end(), buf.begin(), buf.end());
-    cur = buf;
-  }
-  out.insert(out.end(), cur.begin(), cur.end());
-}
-
-template <typename T>
-void StageChain<T>::process_block_from(std::size_t first, std::span<const T> in,
-                                       std::vector<T>& out) {
-  if (first >= stages_.size()) {
-    out.insert(out.end(), in.begin(), in.end());
-    return;
-  }
-  std::span<const T> cur = in;
-  for (std::size_t i = first; i < stages_.size(); ++i) {
     std::vector<T>& buf = i % 2 == 0 ? scratch_a_ : scratch_b_;
     buf.clear();
     stages_[i]->process_block(cur, buf);

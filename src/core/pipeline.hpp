@@ -23,6 +23,11 @@
 // FixedDdc, FloatDdc and the Gc4016 channel are thin configuration shims
 // over this layer; they stay bit-exact with their pre-pipeline versions
 // (pinned by tests/core/golden_fixed_ddc.inc).
+//
+// DdcPipeline is also the reference oracle: the fast executor
+// (core::FusedChainExec, which the native backend and core::ChannelBank
+// run) is checked bit for bit against push() and process_block() here, so
+// nothing in this layer runs through that executor.
 #pragma once
 
 #include <cstdint>
@@ -35,14 +40,6 @@
 #include "src/dsp/mixer.hpp"
 #include "src/dsp/nco.hpp"
 #include "src/fixed/qformat.hpp"
-
-namespace twiddc::dsp {
-class CicDecimator;
-template <typename T>
-class FirDecimator;
-template <typename T>
-class PolyphaseFirDecimator;
-}  // namespace twiddc::dsp
 
 namespace twiddc::core {
 
@@ -191,26 +188,6 @@ class Stage {
   virtual void reset() = 0;
   [[nodiscard]] virtual int decimation() const = 0;
   [[nodiscard]] virtual const std::string& label() const = 0;
-
-  /// Packed-execution hook: the stage's CIC kernel when (and only when) the
-  /// stage is a fixed-point CIC decimator, else nullptr.  ChannelBank uses
-  /// it to run 4 channels' integrator cascades per AVX2 register; mutating
-  /// the kernel through this pointer is equivalent to feeding the stage the
-  /// same samples minus the stage's output conditioning.
-  [[nodiscard]] virtual dsp::CicDecimator* cic_kernel() { return nullptr; }
-
-  /// Packed-execution hooks for the FIR tail: the stage's fixed-point
-  /// decimating-FIR (resp. polyphase) kernel when the stage wraps one, else
-  /// nullptr.  ChannelBank uses them to run 4/8 channels' tap sets through
-  /// the multi-lane dot kernels (FirDecimator::process_block_packed); as with
-  /// cic_kernel, driving the kernel directly bypasses the stage's output
-  /// conditioning, which the packed caller must then apply itself.
-  [[nodiscard]] virtual dsp::FirDecimator<std::int64_t>* fir_kernel() {
-    return nullptr;
-  }
-  [[nodiscard]] virtual dsp::PolyphaseFirDecimator<std::int64_t>* polyphase_kernel() {
-    return nullptr;
-  }
 };
 
 /// Builds the fixed-point (int64) realisation of a stage spec.
@@ -246,13 +223,6 @@ class StageChain {
       if (t) return true;
     return false;
   }
-
-  /// Packed-execution hook: process_block starting at stage `first` -- the
-  /// caller has already run stages [0, first) itself (e.g. the cross-channel
-  /// packed CIC).  Taps of the skipped stages are NOT fed; callers must
-  /// check has_taps() before splitting a chain.
-  void process_block_from(std::size_t first, std::span<const T> in,
-                          std::vector<T>& out);
 
   /// True when every stage can splice to the matching spec (same count,
   /// structurally compatible stage by stage).
@@ -323,20 +293,6 @@ class DdcPipeline {
 
   /// Observation tap for the in-phase mixer output (nullptr disables).
   void set_mixer_tap(std::vector<std::int64_t>* sink) { mixer_tap_ = sink; }
-
-  // Packed-execution hooks (core::ChannelBank cross-channel kernels).  A
-  // packed caller drives the front end itself -- nco().next_block + the
-  // shared mixer -- runs stage 0 through the stages' cic_kernel()s, and
-  // finishes each rail with rail(r).process_block_from(1, ...).  It must
-  // then call note_packed_block so the sample counters stay equivalent to a
-  // process_block call.
-  [[nodiscard]] dsp::Nco& nco() { return nco_; }
-  [[nodiscard]] const dsp::ComplexMixer& mixer() const { return mixer_; }
-  [[nodiscard]] bool has_mixer_tap() const { return mixer_tap_ != nullptr; }
-  void note_packed_block(std::uint64_t in, std::uint64_t out) {
-    samples_in_ += in;
-    samples_out_ += out;
-  }
 
  private:
   ChainPlan plan_;

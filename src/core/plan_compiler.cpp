@@ -1,8 +1,7 @@
 #include "src/core/plan_compiler.hpp"
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <utility>
@@ -23,97 +22,109 @@ namespace {
 // blocks), which is what the fusion removes.
 constexpr std::size_t kFuseTileSamples = 1024;
 
-void append_u64(std::string& s, std::uint64_t v) {
-  char buf[17];
-  static const char* hex = "0123456789abcdef";
-  for (int i = 15; i >= 0; --i) {
-    buf[i] = hex[v & 0xf];
-    v >>= 4;
-  }
-  buf[16] = '\0';
-  s += buf;
-  s += '.';
+/// Appends the raw bytes of one fixed-width field.
+template <typename T>
+void put(std::string& key, T v) {
+  char bytes[sizeof(T)];
+  std::memcpy(bytes, &v, sizeof(T));
+  key.append(bytes, sizeof(T));
 }
 
-void append_i64(std::string& s, std::int64_t v) {
-  append_u64(s, static_cast<std::uint64_t>(v));
-}
-
-void append_double_bits(std::string& s, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof bits);
-  append_u64(s, bits);
-}
-
-/// Serialises one plan into a key.  `structural` drops the fields a
+/// Serialises one plan into a binary key.  `structural` drops the fields a
 /// SwapMode::kSplice may change (tuning word, coefficient values, output
 /// conditioning) but keeps everything the splice contract requires to be
 /// equal -- byte-equal keys == splice-compatible, the same checks
 /// DdcPipeline::swap_plan and the Stage::can_splice overrides perform.
+/// Every list is count-prefixed, so the encoding is prefix-free.
 std::string plan_key(const ChainPlan& plan, bool structural) {
-  std::string key = structural ? "s1." : "c1.";
+  std::string key(1, structural ? 's' : 'c');
+  key.reserve(128);
   const FrontEndSpec& fe = plan.front_end;
-  append_double_bits(key, plan.input_rate_hz);
-  append_i64(key, fe.nco_amplitude_bits);
-  append_i64(key, fe.nco_table_bits);
-  append_i64(key, static_cast<int>(fe.nco_mode));
-  append_i64(key, fe.input_bits);
-  append_i64(key, fe.mixer_out_bits);
-  append_i64(key, static_cast<int>(fe.mixer_rounding));
+  put(key, plan.input_rate_hz);
+  for (const int v : {fe.nco_amplitude_bits, fe.nco_table_bits, static_cast<int>(fe.nco_mode),
+                      fe.input_bits, fe.mixer_out_bits, static_cast<int>(fe.mixer_rounding)})
+    put<std::int32_t>(key, v);
   if (!structural)
-    append_u64(key, dsp::PhaseAccumulator::tuning_word(fe.nco_freq_hz,
-                                                       plan.input_rate_hz));
+    put(key, dsp::PhaseAccumulator::tuning_word(fe.nco_freq_hz, plan.input_rate_hz));
+  put<std::uint64_t>(key, plan.stages.size());
   for (const StageSpec& st : plan.stages) {
-    key += '|';
-    append_i64(key, static_cast<int>(st.kind));
-    append_i64(key, st.decimation);
+    put<std::int32_t>(key, static_cast<int>(st.kind));
+    put<std::int32_t>(key, st.decimation);
     if (st.kind == StageSpec::Kind::kCic) {
-      append_i64(key, st.cic_stages);
-      append_i64(key, st.diff_delay);
-      append_i64(key, st.input_bits);
-      append_i64(key, st.register_bits);
-      for (int p : st.prune_shifts) append_i64(key, p);
+      for (const int v : {st.cic_stages, st.diff_delay, st.input_bits, st.register_bits})
+        put<std::int32_t>(key, v);
+      put<std::uint64_t>(key, st.prune_shifts.size());
+      for (const int p : st.prune_shifts) put<std::int32_t>(key, p);
     }
     if (st.kind == StageSpec::Kind::kFirDecimator ||
         st.kind == StageSpec::Kind::kPolyphaseFir) {
-      append_u64(key, st.taps.size());
+      put<std::uint64_t>(key, st.taps.size());
       if (!structural)
-        for (std::int64_t t : st.taps) append_i64(key, t);
+        key.append(reinterpret_cast<const char*>(st.taps.data()),
+                   st.taps.size() * sizeof(std::int64_t));
     }
-    if (!structural) {
-      append_i64(key, st.post_shift);
-      append_i64(key, st.narrow_bits);
-      append_i64(key, static_cast<int>(st.rounding));
-    }
+    if (!structural)
+      for (const int v : {st.post_shift, st.narrow_bits, static_cast<int>(st.rounding)})
+        put<std::int32_t>(key, v);
   }
   return key;
 }
 
-/// Initial lowering policy from the environment ("mac" | "da" | anything
-/// else = auto); set_fir_lowering_policy overrides at runtime.
-FirLoweringPolicy policy_from_env() {
-  const char* e = std::getenv("TWIDDC_FIR_LOWERING");
-  if (e == nullptr) return FirLoweringPolicy::kAuto;
-  const std::string v(e);
-  if (v == "mac") return FirLoweringPolicy::kForceMac;
-  if (v == "da") return FirLoweringPolicy::kForceDa;
-  return FirLoweringPolicy::kAuto;
+/// Core of the packed FIR leg: interleaves L lanes' flat windows at stride
+/// L, then computes every kept output's L dots through one multi-lane kernel
+/// call (shared-tap broadcast).  Outputs land at window index i = d-1-phase,
+/// d-1-phase+d, ... -- identical instants to the per-lane path.  Per-lane
+/// accumulation is mod 2^64, so the packed results are bit-exact with
+/// per-lane simd::dot_i64.
+void packed_dot_outputs(const std::int64_t* rev_taps, std::size_t ntaps,
+                        const std::vector<std::int64_t>* const windows[], int L,
+                        std::size_t m, int d, int phase, bool narrow_ok,
+                        std::vector<std::int64_t>* const out[]) {
+  thread_local std::vector<std::int64_t> inter;
+  const std::size_t nw = windows[0]->size();
+  const auto lanes = static_cast<std::size_t>(L);
+  inter.resize(nw * lanes);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    const std::int64_t* w = windows[l]->data();
+    for (std::size_t j = 0; j < nw; ++j) inter[j * lanes + l] = w[j];
+  }
+  const std::size_t kept = m / static_cast<std::size_t>(d) + 1;
+  for (std::size_t l = 0; l < lanes; ++l) out[l]->reserve(out[l]->size() + kept);
+  std::int64_t res[8];
+  for (std::size_t i = static_cast<std::size_t>(d - 1 - phase); i < m;
+       i += static_cast<std::size_t>(d)) {
+    if (L == 4)
+      simd::dot_i64_x4(rev_taps, inter.data() + i * 4, ntaps, narrow_ok, res);
+    else
+      simd::dot_i64_x8(rev_taps, inter.data() + i * 8, ntaps, narrow_ok, res);
+    for (std::size_t l = 0; l < lanes; ++l) out[l]->push_back(res[l]);
+  }
 }
 
-std::atomic<FirLoweringPolicy>& policy_cell() {
-  static std::atomic<FirLoweringPolicy> policy{policy_from_env()};
-  return policy;
+/// The SIMD tier needed for an L-lane packed FIR pass is available right now.
+bool packed_tier_available(int nlanes) {
+  if (nlanes == 8) return simd::avx512_active();
+#if defined(__AVX2__)
+  return simd::enabled();
+#else
+  return false;
+#endif
+}
+
+/// Runs a stage over lanes [0, n): octets through `packed(0, 8)` when n is
+/// 8, then quads through `packed(first, 4)`; every lane no packed call took
+/// runs `per_lane(l)`.  A packed call declines (returns false) without
+/// touching state, so any mix of packed and per-lane groups is bit-exact.
+template <typename Packed, typename PerLane>
+void pack_or_per_lane(int n, Packed packed, PerLane per_lane) {
+  if (n == 8 && packed(0, 8)) return;
+  for (int first = 0; first < n; first += 4) {
+    if (first + 4 <= n && packed(first, 4)) continue;
+    for (int l = first; l < std::min(first + 4, n); ++l) per_lane(l);
+  }
 }
 
 }  // namespace
-
-FirLoweringPolicy fir_lowering_policy() {
-  return policy_cell().load(std::memory_order_relaxed);
-}
-
-void set_fir_lowering_policy(FirLoweringPolicy policy) {
-  policy_cell().store(policy, std::memory_order_relaxed);
-}
 
 // ------------------------------------------------------------------- TapSet
 
@@ -174,29 +185,6 @@ std::shared_ptr<const std::vector<std::int32_t>> CoeffPool::sine_table(
   return made;
 }
 
-std::shared_ptr<const std::vector<std::int64_t>> CoeffPool::da_tables(
-    const std::vector<std::int64_t>& rev_taps) {
-  std::string key(reinterpret_cast<const char*>(rev_taps.data()),
-                  rev_taps.size() * sizeof(std::int64_t));
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.da_requests;
-  auto it = da_tables_.find(key);
-  if (it != da_tables_.end()) {
-    if (auto held = it->second.lock()) {
-      ++stats_.da_hits;
-      return held;
-    }
-  }
-  auto made = std::make_shared<const std::vector<std::int64_t>>(
-      dsp::DaFirEngine::build_tables(rev_taps));
-  da_tables_[std::move(key)] = made;
-  if (da_tables_.size() > 256) {
-    for (auto e = da_tables_.begin(); e != da_tables_.end();)
-      e = e->second.expired() ? da_tables_.erase(e) : std::next(e);
-  }
-  return made;
-}
-
 CoeffPool::Stats CoeffPool::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
@@ -214,7 +202,8 @@ std::string structural_plan_key(const ChainPlan& plan) {
 
 // ------------------------------------------------------------- CompiledPlan
 
-CompiledPlan::CompiledPlan(const ChainPlan& plan) : plan_(plan) {
+CompiledPlan::CompiledPlan(const ChainPlan& plan, std::string canonical_key)
+    : plan_(plan), canonical_key_(std::move(canonical_key)) {
   plan_.validate();
   // Deep-validate exactly what execution will need, so configure() fails
   // here (typed, nothing cached) rather than mid-stream: the mixer's shift
@@ -251,7 +240,7 @@ CompiledPlan::CompiledPlan(const ChainPlan& plan) : plan_(plan) {
 
   tuning_word_ = dsp::PhaseAccumulator::tuning_word(plan_.front_end.nco_freq_hz,
                                                     plan_.input_rate_hz);
-  canonical_key_ = canonical_plan_key(plan_);
+  if (canonical_key_.empty()) canonical_key_ = canonical_plan_key(plan_);
   structural_key_ = structural_plan_key(plan_);
 
   if (plan_.front_end.nco_mode == dsp::Nco::Mode::kLookupTable)
@@ -264,33 +253,6 @@ CompiledPlan::CompiledPlan(const ChainPlan& plan) : plan_(plan) {
       stage_taps_.push_back(CoeffPool::instance().taps(st.taps));
     else
       stage_taps_.push_back(nullptr);
-  }
-
-  // DA-lowering metadata: track the sample width entering each stage through
-  // the conditioning chain, run the cost model on every FIR stage, and build
-  // (deduplicated) partial-sum tables for the eligible ones so a ForceDa
-  // policy never has to compile at execution time.
-  int width = plan_.front_end.mixer_out_bits;
-  for (std::size_t i = 0; i < plan_.stages.size(); ++i) {
-    const StageSpec& st = plan_.stages[i];
-    stage_input_bits_.push_back(width);
-    dsp::DaFirEngine::Cost cost;
-    std::shared_ptr<const std::vector<std::int64_t>> tables;
-    if (stage_taps_[i] != nullptr && width > 0) {
-      cost = dsp::DaFirEngine::cost(st.taps.size(), width);
-      if (cost.eligible)
-        tables = CoeffPool::instance().da_tables(stage_taps_[i]->reversed);
-    }
-    stage_da_cost_.push_back(cost);
-    stage_da_tables_.push_back(std::move(tables));
-    stage_lowering_.push_back(cost.auto_wins ? FirLowering::kDa : FirLowering::kMac);
-    // Output width: a narrowing stage pins it; a passthrough preserves it;
-    // anything else widens by an amount the plan does not bound, so the
-    // width becomes unknown (0) and downstream FIR stages are DA-ineligible.
-    if (st.narrow_bits != 0)
-      width = st.narrow_bits;
-    else if (st.kind != StageSpec::Kind::kPassthrough)
-      width = 0;
   }
 }
 
@@ -306,11 +268,12 @@ std::shared_ptr<const CompiledPlan> CompiledPlanCache::get_or_compile(
   // The canonical key needs a positive sample rate (tuning-word math);
   // validate() rejects everything the key computation cannot survive.
   plan.validate();
-  const std::string key = canonical_plan_key(plan);
-
+  std::string key = canonical_plan_key(plan);
   // Trace args carry a hash of the canonical key, so identical plans are
-  // correlatable across hit/miss/evict events without shipping the string.
-  const std::uint64_t key_hash = std::hash<std::string>{}(key);
+  // correlatable across hit/miss/evict events without shipping the key;
+  // untraced lookups hash it once, in the index.
+  const std::uint64_t key_hash =
+      trace::enabled(trace::Category::kCache) ? std::hash<std::string>{}(key) : 0;
 
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.lookups;
@@ -342,12 +305,12 @@ std::shared_ptr<const CompiledPlan> CompiledPlanCache::get_or_compile(
                            }(),
                            key_hash);
   const auto t0 = std::chrono::steady_clock::now();
-  auto compiled = std::make_shared<const CompiledPlan>(plan);
+  auto compiled = std::make_shared<const CompiledPlan>(plan, key);
   stats_.compile_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   compile_span.finish();
-  lru_.emplace_front(key, compiled);
-  index_[key] = lru_.begin();
+  lru_.emplace_front(std::move(key), compiled);
+  index_.emplace(lru_.front().first, lru_.begin());
   while (lru_.size() > capacity_) {
     if (trace::enabled(trace::Category::kCache)) {
       static const std::uint16_t kName = trace::intern("plan_cache_evict");
@@ -421,18 +384,6 @@ void FusedChainExec::build_stages() {
       const std::size_t hist = st.taps->forward.size() - 1;
       st.tail[0].assign(hist, 0);
       st.tail[1].assign(hist, 0);
-      // Lowering selection: the compiled plan's cost-model decision under
-      // kAuto, overridden by the process-wide force modes.  kForceDa on a
-      // DA-ineligible stage (no tables) stays MAC.
-      const FirLoweringPolicy policy = fir_lowering_policy();
-      const bool want_da =
-          policy == FirLoweringPolicy::kForceDa ||
-          (policy == FirLoweringPolicy::kAuto &&
-           plan_->stage_lowering()[i] == FirLowering::kDa);
-      if (want_da && plan_->stage_da_tables()[i] != nullptr)
-        st.da = std::make_unique<dsp::DaFirEngine>(plan_->stage_da_tables()[i],
-                                                   st.taps->forward.size(),
-                                                   plan_->stage_input_bits()[i]);
     }
     stages_.push_back(std::move(st));
   }
@@ -463,162 +414,210 @@ void FusedChainExec::splice(std::shared_ptr<const CompiledPlan> next) {
   for (std::size_t i = 0; i < stages_.size(); ++i) {
     const StageSpec& spec = next->plan().stages[i];
     stages_[i].req = Conditioning{spec.post_shift, spec.narrow_bits, spec.rounding};
-    if (stages_[i].taps) {
-      stages_[i].taps = next->stage_taps()[i];
-      // DA tables are functions of the taps, and conditioning changes can
-      // move the stage's input width -- rebuild (or drop) the engine against
-      // the new plan's metadata.
-      if (stages_[i].da) {
-        stages_[i].da =
-            next->stage_da_tables()[i] != nullptr
-                ? std::make_unique<dsp::DaFirEngine>(
-                      next->stage_da_tables()[i],
-                      stages_[i].taps->forward.size(), next->stage_input_bits()[i])
-                : nullptr;
-      }
-    }
+    if (stages_[i].taps) stages_[i].taps = next->stage_taps()[i];
   }
   plan_ = std::move(next);
 }
 
-FirLowering FusedChainExec::active_lowering(std::size_t s) const {
-  return stages_.at(s).da ? FirLowering::kDa : FirLowering::kMac;
+void FusedChainExec::swap_plan(const ChainPlan& plan, SwapMode mode) {
+  // Resolve first: an invalid plan throws before any state moves.
+  auto next = CompiledPlanCache::instance().get_or_compile(plan);
+  if (mode == SwapMode::kFlush)
+    *this = FusedChainExec(std::move(next));
+  else
+    splice(std::move(next));  // throws, untouched, if structurally incompatible
 }
 
-void FusedChainExec::run_stage(StageState& st, int rail,
-                               std::span<const std::int64_t> in,
-                               std::vector<std::int64_t>& out) {
-  const Conditioning req = st.req;
-  const auto apply = [&req](std::int64_t v) {
-    v = fixed::shift_right(v, req.shift, req.rounding);
-    return req.bits == 0 ? v : fixed::narrow(v, req.bits, fixed::Overflow::kSaturate);
-  };
-  switch (st.kind) {
-    case StageSpec::Kind::kPassthrough:
-      out.insert(out.end(), in.begin(), in.end());
-      return;
-    case StageSpec::Kind::kScale: {
-      out.reserve(out.size() + in.size());
-      for (std::int64_t x : in) out.push_back(apply(x));
-      return;
+void FusedChainExec::run_front_end(std::span<const std::int64_t> tile) {
+  const FrontEndSpec& fe = plan_->plan().front_end;
+  const std::uint32_t step = plan_->tuning_word();
+  const std::size_t m = tile.size();
+  cos_tile_.resize(m);
+  sin_tile_.resize(m);
+  if (fe.nco_mode == dsp::Nco::Mode::kLookupTable) {
+    phase_ = simd::lut_sincos_block(phase_, step, plan_->sine_table()->data(),
+                                    fe.nco_table_bits, m, cos_tile_.data(),
+                                    sin_tile_.data());
+  } else {
+    for (std::size_t k = 0; k < m; ++k) {
+      const dsp::SinCos sc = dsp::taylor_sincos(phase_, fe.nco_amplitude_bits);
+      cos_tile_[k] = sc.cos;
+      sin_tile_[k] = sc.sin;
+      phase_ += step;
     }
+  }
+  for (int r = 0; r < 2; ++r) {
+    mix_tile_[r].resize(m);
+    simd::mul_shift_narrow_block(tile.data(), (r == 0 ? cos_tile_ : sin_tile_).data(),
+                                 m, mixer_shift_, fe.mixer_out_bits, fe.mixer_rounding,
+                                 fixed::Overflow::kSaturate, mixer_narrow_ok_,
+                                 mix_tile_[r].data());
+  }
+}
+
+void FusedChainExec::run_stage(FusedChainExec* const lanes[], int n, std::size_t s,
+                               int r, std::span<const std::int64_t> cur[]) {
+  // Lane l's raw stage outputs land in out[l], conditioned in place below.
+  std::vector<std::int64_t>* out[kMaxLanes];
+  for (int l = 0; l < n; ++l) {
+    out[l] = &(s % 2 == 0 ? lanes[l]->stage_a_ : lanes[l]->stage_b_)[r];
+    out[l]->clear();
+  }
+  const auto same_input_size = [&](int first, int width) {
+    for (int l = first + 1; l < first + width; ++l)
+      if (cur[l].size() != cur[first].size()) return false;
+    return true;
+  };
+  const StageState& st0 = lanes[0]->stages_[s];
+  switch (st0.kind) {
+    case StageSpec::Kind::kPassthrough:
+    case StageSpec::Kind::kScale:
+      for (int l = 0; l < n; ++l) out[l]->assign(cur[l].begin(), cur[l].end());
+      break;
     case StageSpec::Kind::kCic: {
-      window_.clear();
-      st.cic[static_cast<std::size_t>(rail)].process_block(in, window_);
-      out.reserve(out.size() + window_.size());
-      for (std::int64_t v : window_) out.push_back(apply(v));
-      return;
+      dsp::CicDecimator* kern[kMaxLanes];
+      const std::int64_t* in[kMaxLanes];
+      for (int l = 0; l < n; ++l) {
+        kern[l] = &lanes[l]->stages_[s].cic[static_cast<std::size_t>(r)];
+        in[l] = cur[l].data();
+      }
+      // The kernels check geometry and decimation phase themselves.
+      pack_or_per_lane(
+          n,
+          [&](int first, int width) {
+            if (!same_input_size(first, width)) return false;
+            return width == 8 ? dsp::CicDecimator::process_block_packed8(
+                                    kern + first, in + first, cur[first].size(), out + first)
+                              : dsp::CicDecimator::process_block_packed4(
+                                    kern + first, in + first, cur[first].size(), out + first);
+          },
+          [&](int l) { kern[l]->process_block(cur[l], *out[l]); });
+      break;
     }
     case StageSpec::Kind::kFirDecimator:
     case StageSpec::Kind::kPolyphaseFir: {
       // Flat-window form: both FIR forms compute the same MAC set and int64
       // sums are order-independent (mod 2^64), so one contiguous dot per
-      // output is bit-exact with either staged structure.  The output narrow
-      // is fused into the same sweep.
-      const TapSet& taps = *st.taps;
-      const std::size_t n = taps.forward.size();
-      auto& tail = st.tail[static_cast<std::size_t>(rail)];
-      window_.clear();
-      window_.reserve(tail.size() + in.size());
-      window_.insert(window_.end(), tail.begin(), tail.end());
-      window_.insert(window_.end(), in.begin(), in.end());
-      const bool narrow_ok =
-          taps.fits_i32 && simd::all_fit_i32(window_.data(), window_.size());
-      // DA lowering engages per tile: only when every window sample fits the
-      // engine's width is the bit-serial evaluation defined, and there it is
-      // exact mod 2^64 -- out-of-range tiles silently take the MAC dots, so
-      // the stage output never depends on the lowering.
-      bool use_da = false;
-      if (st.da && !window_.empty()) {
-        std::int64_t lo = 0;
-        std::int64_t hi = 0;
-        simd::minmax_i64(window_.data(), window_.size(), lo, hi);
-        use_da = st.da->fits(lo, hi);
+      // output is bit-exact with either staged structure.  Each lane's window
+      // is [its delay line | its stage input].
+      const std::vector<std::int64_t>* windows[kMaxLanes];
+      bool fits[kMaxLanes];
+      for (int l = 0; l < n; ++l) {
+        FusedChainExec& lane = *lanes[l];
+        const StageState& st = lane.stages_[s];
+        const auto& tail = st.tail[static_cast<std::size_t>(r)];
+        lane.window_.assign(tail.begin(), tail.end());
+        lane.window_.insert(lane.window_.end(), cur[l].begin(), cur[l].end());
+        fits[l] = st.taps->fits_i32 &&
+                  simd::all_fit_i32(lane.window_.data(), lane.window_.size());
+        windows[l] = &lane.window_;
       }
-      const int d = st.decimation;
-      // Input j produces an output when fir_phase + j + 1 is a multiple of d.
-      for (std::size_t j = static_cast<std::size_t>(d - 1 - st.fir_phase);
-           j < in.size(); j += static_cast<std::size_t>(d))
-        out.push_back(apply(use_da
-                                ? st.da->dot(window_.data() + j)
-                                : simd::dot_i64(taps.reversed.data(),
-                                                window_.data() + j, n, narrow_ok)));
-      if (tail.size() > 0)
-        tail.assign(window_.end() - static_cast<std::ptrdiff_t>(tail.size()),
-                    window_.end());
-      if (rail == 1)  // both rails consumed the tile; advance the shared phase
-        st.fir_phase = (st.fir_phase + static_cast<int>(in.size() % static_cast<std::size_t>(d))) % d;
-      return;
+      // Lanes pack when they hold the same TapSet (CoeffPool dedup makes
+      // pointer equality tap-value equality) at the same decimation phase.
+      pack_or_per_lane(
+          n,
+          [&](int first, int width) {
+            const StageState& a = lanes[first]->stages_[s];
+            bool narrow_ok = true;
+            for (int l = first; l < first + width; ++l) {
+              const StageState& b = lanes[l]->stages_[s];
+              if (b.taps != a.taps || b.fir_phase != a.fir_phase) return false;
+              narrow_ok = narrow_ok && fits[l];
+            }
+            if (!same_input_size(first, width) || !packed_tier_available(width))
+              return false;
+            packed_dot_outputs(a.taps->reversed.data(), a.taps->reversed.size(),
+                               windows + first, width, cur[first].size(), a.decimation,
+                               a.fir_phase, narrow_ok, out + first);
+            return true;
+          },
+          [&](int l) {
+            const StageState& st = lanes[l]->stages_[s];
+            const std::vector<std::int64_t>& w = *windows[l];
+            const std::size_t d = static_cast<std::size_t>(st.decimation);
+            // Input j produces an output when fir_phase + j + 1 is a multiple of d.
+            for (std::size_t j = d - 1 - static_cast<std::size_t>(st.fir_phase);
+                 j < cur[l].size(); j += d)
+              out[l]->push_back(simd::dot_i64(st.taps->reversed.data(), w.data() + j,
+                                              st.taps->reversed.size(), fits[l]));
+          });
+      for (int l = 0; l < n; ++l) {
+        StageState& st = lanes[l]->stages_[s];
+        auto& tail = st.tail[static_cast<std::size_t>(r)];
+        if (!tail.empty())
+          tail.assign(windows[l]->end() - static_cast<std::ptrdiff_t>(tail.size()),
+                      windows[l]->end());
+        if (r == 1)  // both rails consumed the input; advance the shared phase
+          st.fir_phase = static_cast<int>(
+              (static_cast<std::size_t>(st.fir_phase) + cur[l].size()) %
+              static_cast<std::size_t>(st.decimation));
+      }
+      break;
+    }
+  }
+  // Output conditioning (shift/round/narrow) per lane; a passthrough has none.
+  for (int l = 0; l < n; ++l) {
+    const Conditioning req = lanes[l]->stages_[s].req;
+    if (st0.kind != StageSpec::Kind::kPassthrough)
+      for (std::int64_t& v : *out[l]) {
+        v = fixed::shift_right(v, req.shift, req.rounding);
+        if (req.bits != 0) v = fixed::narrow(v, req.bits, fixed::Overflow::kSaturate);
+      }
+    cur[l] = *out[l];
+  }
+}
+
+void FusedChainExec::process_lanes(FusedChainExec* const lanes[], int n,
+                                   std::span<const std::int64_t> in,
+                                   std::vector<IqSample>* const out[]) {
+  if (n < 1 || n > kMaxLanes)
+    throw ConfigError("FusedChainExec::process_lanes: lane count " + std::to_string(n) +
+                      " outside [1, " + std::to_string(kMaxLanes) + "]");
+  // Lanes advance stage by stage in lockstep, so they must share one
+  // structure (which also fixes one front-end input width for all of them).
+  for (int l = 1; l < n; ++l)
+    if (!lanes[l]->can_splice(*lanes[0]->plan_))
+      throw ConfigError("FusedChainExec::process_lanes: lanes differ in structure");
+  // All-or-nothing input validation, exactly like the staged pipeline: a
+  // mid-block throw must not leave any NCO advanced past its rails.
+  if (!in.empty()) {
+    std::int64_t lo = 0;
+    std::int64_t hi = 0;
+    simd::minmax_i64(in.data(), in.size(), lo, hi);
+    const int bits = lanes[0]->plan_->plan().front_end.input_bits;
+    if (!fixed::fits_bits(lo, bits) || !fixed::fits_bits(hi, bits))
+      throw SimulationError("FusedChainExec: input " +
+                            std::to_string(fixed::fits_bits(lo, bits) ? hi : lo) +
+                            " does not fit " + std::to_string(bits) + " bits");
+  }
+  const std::size_t nstages = lanes[0]->stages_.size();
+
+  std::span<const std::int64_t> cur[2][kMaxLanes];
+  for (std::size_t off = 0; off < in.size(); off += kFuseTileSamples) {
+    const std::span<const std::int64_t> tile =
+        in.subspan(off, std::min(kFuseTileSamples, in.size() - off));
+    for (int l = 0; l < n; ++l) {
+      lanes[l]->run_front_end(tile);
+      cur[0][l] = lanes[l]->mix_tile_[0];
+      cur[1][l] = lanes[l]->mix_tile_[1];
+    }
+    for (std::size_t s = 0; s < nstages; ++s)
+      for (int r = 0; r < 2; ++r) run_stage(lanes, n, s, r, cur[r]);
+    for (int l = 0; l < n; ++l) {
+      if (cur[0][l].size() != cur[1][l].size())
+        throw SimulationError("FusedChainExec: I/Q rails lost rate lock");
+      out[l]->reserve(out[l]->size() + cur[0][l].size());
+      for (std::size_t j = 0; j < cur[0][l].size(); ++j)
+        out[l]->push_back(IqSample{cur[0][l][j], cur[1][l][j]});
     }
   }
 }
 
 void FusedChainExec::process_block(std::span<const std::int64_t> in,
                                    std::vector<IqSample>& out) {
-  const ChainPlan& plan = plan_->plan();
-  const FrontEndSpec& fe = plan.front_end;
-  // All-or-nothing input validation, exactly like the staged pipeline: a
-  // mid-block throw must not leave the NCO advanced past the rails.
-  if (!in.empty()) {
-    std::int64_t lo = 0;
-    std::int64_t hi = 0;
-    simd::minmax_i64(in.data(), in.size(), lo, hi);
-    if (!fixed::fits_bits(lo, fe.input_bits) || !fixed::fits_bits(hi, fe.input_bits)) {
-      const std::int64_t bad = fixed::fits_bits(lo, fe.input_bits) ? hi : lo;
-      throw SimulationError("FusedChainExec::process_block: input " +
-                            std::to_string(bad) + " does not fit " +
-                            std::to_string(fe.input_bits) + " bits");
-    }
-  }
-
-  const std::uint32_t step = plan_->tuning_word();
-  for (std::size_t off = 0; off < in.size(); off += kFuseTileSamples) {
-    const std::span<const std::int64_t> tile =
-        in.subspan(off, std::min(kFuseTileSamples, in.size() - off));
-    const std::size_t m = tile.size();
-    cos_tile_.resize(m);
-    sin_tile_.resize(m);
-    if (fe.nco_mode == dsp::Nco::Mode::kLookupTable) {
-      phase_ = simd::lut_sincos_block(phase_, step, plan_->sine_table()->data(),
-                                      fe.nco_table_bits, m, cos_tile_.data(),
-                                      sin_tile_.data());
-    } else {
-      for (std::size_t k = 0; k < m; ++k) {
-        const dsp::SinCos sc = dsp::taylor_sincos(phase_, fe.nco_amplitude_bits);
-        cos_tile_[k] = sc.cos;
-        sin_tile_[k] = sc.sin;
-        phase_ += step;
-      }
-    }
-    mix_tile_[0].resize(m);
-    mix_tile_[1].resize(m);
-    simd::mul_shift_narrow_block(tile.data(), cos_tile_.data(), m, mixer_shift_,
-                                 fe.mixer_out_bits, fe.mixer_rounding,
-                                 fixed::Overflow::kSaturate, mixer_narrow_ok_,
-                                 mix_tile_[0].data());
-    simd::mul_shift_narrow_block(tile.data(), sin_tile_.data(), m, mixer_shift_,
-                                 fe.mixer_out_bits, fe.mixer_rounding,
-                                 fixed::Overflow::kSaturate, mixer_narrow_ok_,
-                                 mix_tile_[1].data());
-
-    std::span<const std::int64_t> rail_out[2];
-    for (int rail = 0; rail < 2; ++rail) {
-      std::span<const std::int64_t> cur = mix_tile_[rail];
-      for (std::size_t s = 0; s < stages_.size(); ++s) {
-        std::vector<std::int64_t>& buf =
-            (s % 2 == 0 ? stage_a_ : stage_b_)[rail];
-        buf.clear();
-        run_stage(stages_[s], rail, cur, buf);
-        cur = buf;
-      }
-      rail_out[rail] = cur;
-    }
-    if (rail_out[0].size() != rail_out[1].size())
-      throw SimulationError("FusedChainExec: I/Q rails lost rate lock");
-    out.reserve(out.size() + rail_out[0].size());
-    for (std::size_t j = 0; j < rail_out[0].size(); ++j)
-      out.push_back(IqSample{rail_out[0][j], rail_out[1][j]});
-  }
+  FusedChainExec* self = this;
+  std::vector<IqSample>* sink = &out;
+  process_lanes(&self, 1, in, &sink);
 }
 
 }  // namespace twiddc::core

@@ -20,7 +20,13 @@
 //     conditioning (shift/narrow/round) is applied as the stage's outputs
 //     are produced instead of in a separate sweep.  The staged DdcPipeline
 //     walks ~5 full-rate buffers per block; the fused path reads the input
-//     once and touches everything else while it is cache-hot.
+//     once and touches everything else while it is cache-hot;
+//   * lanes -- the same executor advances 1, 4 or 8 channels in lockstep
+//     (FusedChainExec::process_lanes), packing each CIC stage's integrator
+//     cascades and each shared-tap FIR stage's dots across channels, one
+//     channel per register lane.  ChannelBank is its multi-lane client, the
+//     native backend its one-lane client; the staged DdcPipeline stays the
+//     reference both are checked against.
 //
 // CompiledPlanCache is the process-wide memo: backends' configure() and the
 // stream engine resolve plans through it, so 64 identical sessions compile
@@ -31,8 +37,9 @@
 // Bit-exactness: FusedChainExec reuses the exact arithmetic of the staged
 // path (simd::lut_sincos_block, simd::mul_shift_narrow_block,
 // dsp::CicDecimator, the flat-window FIR dot over simd::dot_i64, and
-// fixed::shift_right/narrow), and tiling is bit-exact because every stage is
-// streaming-composable.  The simd kill switch therefore forces the fused
+// fixed::shift_right/narrow), tiling is bit-exact because every stage is
+// streaming-composable, and the packed kernels accumulate each lane mod 2^64
+// exactly as its own scalar kernel would.  The simd kill switch therefore forces the fused
 // kernels onto the scalar path too -- the existing bit-exactness tests cover
 // the fused code with no extra plumbing.
 #pragma once
@@ -48,27 +55,8 @@
 
 #include "src/core/pipeline.hpp"
 #include "src/dsp/cic.hpp"
-#include "src/dsp/da_fir.hpp"
 
 namespace twiddc::core {
-
-// ------------------------------------------------------------- FIR lowering
-
-/// How a FIR stage's dot products are realised by the fused executor:
-/// classic multiply-accumulate, or distributed arithmetic (bit-serial LUT
-/// lookups, dsp::DaFirEngine).  Both are bit-exact; they model different
-/// hardware (multiplier blocks vs LUT fabric).
-enum class FirLowering { kMac, kDa };
-
-/// Process-wide lowering policy.  kAuto follows the per-stage cost model
-/// baked into each CompiledPlan; the force modes override it (kForceDa still
-/// falls back to MAC for DA-ineligible stages: unknown input width, width
-/// beyond DaFirEngine::kMaxInputBits).  Initialised from the
-/// TWIDDC_FIR_LOWERING environment variable ("auto" | "mac" | "da").
-enum class FirLoweringPolicy { kAuto, kForceMac, kForceDa };
-
-FirLoweringPolicy fir_lowering_policy();
-void set_fir_lowering_policy(FirLoweringPolicy policy);
 
 // -------------------------------------------------------------- shared data
 
@@ -95,19 +83,12 @@ class CoeffPool {
   std::shared_ptr<const TapSet> taps(const std::vector<std::int64_t>& taps);
   std::shared_ptr<const std::vector<std::int32_t>> sine_table(int table_bits,
                                                               int amplitude_bits);
-  /// Deduplicated DA partial-sum tables (dsp::DaFirEngine::build_tables) for
-  /// a reversed tap set.  Tables depend only on the tap values, so every
-  /// plan/session DA-lowering the same coefficients shares one copy.
-  std::shared_ptr<const std::vector<std::int64_t>> da_tables(
-      const std::vector<std::int64_t>& rev_taps);
 
   struct Stats {
     std::uint64_t tap_requests = 0;
     std::uint64_t tap_hits = 0;
     std::uint64_t table_requests = 0;
     std::uint64_t table_hits = 0;
-    std::uint64_t da_requests = 0;
-    std::uint64_t da_hits = 0;
   };
   [[nodiscard]] Stats stats() const;
 
@@ -118,8 +99,6 @@ class CoeffPool {
   std::unordered_map<std::string, std::weak_ptr<const TapSet>> taps_;
   std::unordered_map<std::uint64_t, std::weak_ptr<const std::vector<std::int32_t>>>
       tables_;
-  std::unordered_map<std::string, std::weak_ptr<const std::vector<std::int64_t>>>
-      da_tables_;
   Stats stats_;
 };
 
@@ -131,13 +110,17 @@ class CoeffPool {
 /// Excludes presentation-only fields (name) and float-rail metadata
 /// (taps_float, post_scale).  Two plans with equal canonical keys execute
 /// identically and may share one CompiledPlan.
+///
+/// Keys are binary: each field is its fixed-width raw bytes, and the
+/// variable-length lists (stages, prune_shifts, taps) carry a count prefix,
+/// so the encoding is prefix-free -- no key is a prefix of another, and
+/// concatenated keys stay unambiguous.
 std::string canonical_plan_key(const ChainPlan& plan);
 
 /// Structural form: the canonical key minus everything a SwapMode::kSplice
 /// may change (NCO frequency, coefficient values, output conditioning).
 /// Two plans with equal structural keys are splice-compatible, and channels
-/// with equal structural front ends are candidates for cross-channel packed
-/// execution.
+/// with equal structural keys are the lane groups ChannelBank packs.
 std::string structural_plan_key(const ChainPlan& plan);
 
 // ------------------------------------------------------------- CompiledPlan
@@ -149,7 +132,9 @@ std::string structural_plan_key(const ChainPlan& plan);
 /// threads execute from one instance without synchronisation.
 class CompiledPlan {
  public:
-  explicit CompiledPlan(const ChainPlan& plan);
+  /// `canonical_key` must be canonical_plan_key(plan) when given (the cache
+  /// passes the key it already looked up); empty computes it here.
+  explicit CompiledPlan(const ChainPlan& plan, std::string canonical_key = {});
 
   [[nodiscard]] const ChainPlan& plan() const { return plan_; }
   [[nodiscard]] const std::string& canonical_key() const { return canonical_key_; }
@@ -166,31 +151,6 @@ class CompiledPlan {
   }
   [[nodiscard]] int total_decimation() const { return plan_.total_decimation(); }
 
-  /// Two's-complement width of the samples entering each stage, tracked
-  /// through the conditioning chain from the mixer bus width (0 = unknown:
-  /// a preceding stage widens without narrowing, which makes DA ineligible).
-  [[nodiscard]] const std::vector<int>& stage_input_bits() const {
-    return stage_input_bits_;
-  }
-  /// The pure kAuto lowering decision per stage (kMac for non-FIR stages).
-  /// The compiled artifact is shared across sessions, so it stores the
-  /// policy-independent cost-model outcome; FusedChainExec applies the
-  /// process-wide policy on top when it builds its stage states.
-  [[nodiscard]] const std::vector<FirLowering>& stage_lowering() const {
-    return stage_lowering_;
-  }
-  /// Per-stage DA cost-model outputs (all-default for non-FIR stages) --
-  /// the energy layer's multiplier-vs-LUT report reads these.
-  [[nodiscard]] const std::vector<dsp::DaFirEngine::Cost>& stage_da_cost() const {
-    return stage_da_cost_;
-  }
-  /// Shared DA partial-sum tables per DA-eligible FIR stage (null
-  /// otherwise), deduplicated through CoeffPool.
-  [[nodiscard]] const std::vector<std::shared_ptr<const std::vector<std::int64_t>>>&
-  stage_da_tables() const {
-    return stage_da_tables_;
-  }
-
  private:
   ChainPlan plan_;
   std::string canonical_key_;
@@ -198,10 +158,6 @@ class CompiledPlan {
   std::uint32_t tuning_word_ = 0;
   std::shared_ptr<const std::vector<std::int32_t>> sine_table_;
   std::vector<std::shared_ptr<const TapSet>> stage_taps_;
-  std::vector<int> stage_input_bits_;
-  std::vector<FirLowering> stage_lowering_;
-  std::vector<dsp::DaFirEngine::Cost> stage_da_cost_;
-  std::vector<std::shared_ptr<const std::vector<std::int64_t>>> stage_da_tables_;
 };
 
 // -------------------------------------------------------- CompiledPlanCache
@@ -251,19 +207,36 @@ class CompiledPlanCache {
 
 // ------------------------------------------------------------ FusedChainExec
 
-/// Per-session execution state over a shared CompiledPlan: the NCO phase,
+/// Per-channel execution state over a shared CompiledPlan: the NCO phase,
 /// two CIC decimators per CIC stage (I and Q rails), one flat FIR delay line
-/// per FIR stage per rail.  process_block runs the whole chain tile by tile
-/// -- mixer+first-stage fused in L1, FIR decimation fused with the output
-/// narrow -- bit-exact with DdcPipeline::process_block on the same plan
-/// (pinned by tests across randomized topologies and both kill-switch
-/// states).
+/// per FIR stage per rail.  This is the one fast block executor: the native
+/// backend runs channels one at a time (process_block), ChannelBank runs
+/// them as lane groups (process_lanes).  Both are bit-exact with
+/// DdcPipeline::process_block on the same plan (pinned by tests across
+/// randomized topologies, lane counts and both kill-switch states).
 class FusedChainExec {
  public:
+  /// Widest lane group process_lanes accepts (one AVX-512 register of int64).
+  static constexpr int kMaxLanes = 8;
+
   explicit FusedChainExec(std::shared_ptr<const CompiledPlan> plan);
 
-  /// All-or-nothing: the whole block is range-checked against the front
-  /// end's input width before any state advances (SimulationError).
+  /// Runs `n` (1..kMaxLanes) channels over the same input, tile by tile and
+  /// stage by stage: the NCO/mixer per lane, then each stage across the
+  /// lanes -- CIC stages through dsp::CicDecimator::process_block_packed8 /
+  /// packed4 (one register holds every lane's integrator), FIR stages through
+  /// the multi-lane shared-tap dot (simd::dot_i64_x8 / x4) when the lanes
+  /// hold the same TapSet and decimation phase.  Any lane set a packed
+  /// kernel cannot take (geometry, phase, tier, kill switch) runs that stage
+  /// per lane, so the result is bit-exact with n process_block calls.
+  /// Channel l's outputs are appended to *out[l].  All-or-nothing: the input
+  /// is range-checked against every lane's front end before any state
+  /// advances (SimulationError).
+  static void process_lanes(FusedChainExec* const lanes[], int n,
+                            std::span<const std::int64_t> in,
+                            std::vector<IqSample>* const out[]);
+
+  /// One lane: process_lanes with n = 1.
   void process_block(std::span<const std::int64_t> in, std::vector<IqSample>& out);
   void reset();
 
@@ -275,16 +248,16 @@ class FusedChainExec {
   /// coefficients, conditioning and the tuning word are replaced.  Call
   /// can_splice first; throws ConfigError otherwise.
   void splice(std::shared_ptr<const CompiledPlan> next);
+  /// Runtime reconfiguration with DdcPipeline::swap_plan's contract: the
+  /// plan is resolved through CompiledPlanCache, kFlush restarts from fresh
+  /// state, kSplice keeps it.  A ConfigError (invalid plan, or a kSplice
+  /// onto a different structure) leaves the old plan running.
+  void swap_plan(const ChainPlan& plan, SwapMode mode);
 
   [[nodiscard]] const CompiledPlan& compiled() const { return *plan_; }
   [[nodiscard]] const std::shared_ptr<const CompiledPlan>& compiled_ptr() const {
     return plan_;
   }
-
-  /// The lowering this executor actually built for stage `s` (the compiled
-  /// plan's kAuto decision combined with the process-wide policy at
-  /// construction/splice time).  kMac for non-FIR stages.
-  [[nodiscard]] FirLowering active_lowering(std::size_t s) const;
 
  private:
   struct Conditioning {
@@ -303,16 +276,15 @@ class FusedChainExec {
     std::shared_ptr<const TapSet> taps;
     std::vector<std::int64_t> tail[2];  // last (taps-1) inputs, zero-seeded
     int fir_phase = 0;                  // inputs since last output, in [0, D)
-    // DA lowering: the bit-serial evaluator over shared tables, engaged per
-    // tile only when every window sample fits its width (MAC fallback keeps
-    // the stage unconditionally bit-exact).
-    std::unique_ptr<dsp::DaFirEngine> da;
   };
 
   void build_stages();
-  /// Runs stage `s` over one rail's tile, appending conditioned outputs.
-  void run_stage(StageState& st, int rail, std::span<const std::int64_t> in,
-                 std::vector<std::int64_t>& out);
+  /// Mixes one tile into mix_tile_[0..1].
+  void run_front_end(std::span<const std::int64_t> tile);
+  /// Stage `s` of rail `r` across the lanes: `cur[l]` is lane l's stage
+  /// input, replaced by a view of its conditioned stage output.
+  static void run_stage(FusedChainExec* const lanes[], int n, std::size_t s, int r,
+                        std::span<const std::int64_t> cur[]);
 
   std::shared_ptr<const CompiledPlan> plan_;
   std::uint32_t phase_ = 0;

@@ -7,8 +7,9 @@
 // abundant LUTs; on an ASIC it converts multiplier area into ROM bits.  This
 // model quantifies both realisations per FIR stage of a plan so the
 // scenario layer can report what a DA lowering buys (or costs) a given
-// deployment -- the numbers mirror the cost model the plan compiler's kAuto
-// lowering uses (dsp::DaFirEngine::cost).
+// deployment -- the numbers come from the DA engine's own cost model
+// (dsp::DaFirEngine::cost).  DA here is a hardware model, not a software
+// execution mode: the host executor always runs the MAC dot kernels.
 #pragma once
 
 #include <string>
@@ -56,8 +57,8 @@ FirImplCost da_fir_cost(const std::string& stage_label, std::size_t taps,
                         int input_bits, const DaEnergyParams& params = {});
 
 /// One FirImplCost per FIR stage of `plan`, with each stage's input width
-/// tracked through the conditioning chain exactly as the plan compiler does
-/// (CompiledPlan::stage_input_bits).  Non-FIR stages are skipped.  This is
+/// tracked through the conditioning chain (the mixer bus width flows in,
+/// narrowing stages pin it).  Non-FIR stages are skipped.  This is
 /// the hook the FPGA/ASIC scenario reports use to attach the
 /// multiplier-vs-LUT trade to a concrete topology.
 std::vector<FirImplCost> plan_fir_costs(const core::ChainPlan& plan,

@@ -1,6 +1,6 @@
 // ChannelBank: N batched channels must equal N independent single-channel
-// runs, serial and sharded modes must agree bit-for-bit, and disabled
-// channels must freeze.
+// runs, serial and sharded modes must agree bit-for-bit, and retunes through
+// channel(i).swap_plan must follow the staged pipeline's swap contract.
 #include "src/core/channel_bank.hpp"
 
 #include <gtest/gtest.h>
@@ -95,30 +95,6 @@ TEST(ChannelBank, StreamingBlocksAccumulatePlanarOutputs) {
   chunked.process_block(
       std::span<const std::int64_t>(input.data() + half, input.size() - half), got);
   for (std::size_t c = 0; c < want.size(); ++c) expect_equal(got[c], want[c], c);
-}
-
-TEST(ChannelBank, DisabledChannelFreezes) {
-  const auto plans = detuned_plans(3);
-  const auto input = stimulus(2688 * 2);
-
-  ChannelBank bank(plans);
-  bank.set_enabled(1, false);
-  std::vector<std::vector<IqSample>> got;
-  bank.process_block(input, got);
-  EXPECT_TRUE(got[1].empty());
-  EXPECT_FALSE(got[0].empty());
-  EXPECT_FALSE(got[2].empty());
-  EXPECT_EQ(bank.channel(1).samples_in(), 0u);
-
-  // Re-enabling resumes from the frozen state (a fresh run over the next
-  // block, not a replay of the missed one).
-  bank.set_enabled(1, true);
-  std::vector<std::vector<IqSample>> next;
-  bank.process_block(input, next);
-  DdcPipeline solo(plans[1]);
-  std::vector<IqSample> want;
-  solo.process_block(input, want);
-  expect_equal(next[1], want, 1);
 }
 
 TEST(ChannelBank, ResetRestoresFreshState) {
@@ -252,17 +228,6 @@ TEST(ChannelBank, SingleChannelPathMatchesSolo) {
   expect_equal(got[0], want, 0);
 }
 
-TEST(ChannelBank, AllChannelsDisabledIsANoOp) {
-  const auto plans = detuned_plans(3);
-  ChannelBank bank(plans, 2);
-  for (std::size_t c = 0; c < plans.size(); ++c) bank.set_enabled(c, false);
-  std::vector<std::vector<IqSample>> got;
-  bank.process_block(stimulus(2688), got);
-  ASSERT_EQ(got.size(), 3u);
-  for (const auto& ch : got) EXPECT_TRUE(ch.empty());
-  EXPECT_EQ(bank.channel(0).samples_in(), 0u);
-}
-
 TEST(ChannelBank, EmptyInputProducesNoOutput) {
   ChannelBank bank(detuned_plans(2), 2);
   std::vector<std::vector<IqSample>> got;
@@ -277,8 +242,8 @@ TEST(ChannelBank, EmptyInputProducesNoOutput) {
 // Eight identical-geometry figure-1 channels form two packed quads; the
 // earlier BatchEqualsIndependentRuns/ShardedEqualsSerial tests already run
 // through the packed path (4 and 5 detuned channels), so these focus on the
-// packing-specific seams: remainder lanes, the kill switch, partial blocks,
-// fallback triggers, and the sample counters.
+// packing-specific seams: remainder lanes, the kill switch, partial blocks
+// and fallback triggers.
 
 void expect_bank_matches_solo(const std::vector<ChainPlan>& plans,
                               const std::vector<std::int64_t>& input,
@@ -292,8 +257,6 @@ void expect_bank_matches_solo(const std::vector<ChainPlan>& plans,
     std::vector<IqSample> want;
     solo.process_block(input, want);
     expect_equal(got[c], want, c);
-    EXPECT_EQ(bank.channel(c).samples_in(), solo.samples_in()) << "channel " << c;
-    EXPECT_EQ(bank.channel(c).samples_out(), solo.samples_out()) << "channel " << c;
   }
 }
 
@@ -308,8 +271,8 @@ TEST(ChannelBank, PackedParallelMatchesSolo) {
 }
 
 TEST(ChannelBank, PackedKillSwitchFallsBackBitExact) {
-  // With simd disabled process_block_packed4 declines and every lane runs
-  // the scalar per-channel path -- outputs and counters must not change.
+  // With simd disabled every packed kernel declines and each lane runs its
+  // stages on the scalar path -- outputs must not change.
   simd::ScopedEnable guard(false);
   expect_bank_matches_solo(detuned_plans(8), stimulus(2688 * 3 + 17), 1);
 }
@@ -330,31 +293,10 @@ TEST(ChannelBank, MixedGeometriesGroupSeparately) {
   expect_bank_matches_solo(plans, stimulus(2688 * 4), 2);
 }
 
-TEST(ChannelBank, ObservationTapsForceTheUnpackedPath) {
-  // A mid-chain tap needs the full per-channel stage walk; the tapped
-  // channel must fall out of the quad but still produce identical output.
-  const auto plans = detuned_plans(5);
-  const auto input = stimulus(2688 * 3);
-
-  ChannelBank bank(plans, 1);
-  std::vector<std::int64_t> tapped;
-  bank.channel(2).rail(0).set_tap(0, &tapped);
-  std::vector<std::vector<IqSample>> got;
-  bank.process_block(input, got);
-  EXPECT_FALSE(tapped.empty());  // the tap really fired
-
-  for (std::size_t c = 0; c < plans.size(); ++c) {
-    DdcPipeline solo(plans[c]);
-    std::vector<IqSample> want;
-    solo.process_block(input, want);
-    expect_equal(got[c], want, c);
-  }
-}
-
 TEST(ChannelBank, PackedStreamingSeamsCarryState) {
   // Feed the same data as one block and as three ragged blocks through
-  // packed banks: CIC phase (samples_in % decimation) differs mid-stream,
-  // so regrouping must key on it and stay exact.
+  // packed banks: every stage's decimation phase is mid-revolution at the
+  // seams and must carry across them.
   const auto plans = detuned_plans(8);
   const auto input = stimulus(2688 * 4 + 100);
 
@@ -381,14 +323,14 @@ TEST(ChannelBank, PackedRejectsOutOfRangeInputPerLane) {
   EXPECT_THROW(bank.process_block(input, got), twiddc::SimulationError);
 }
 
-// ------------------------------------------ FIR-tail packing & octet units
+// ------------------------------------------- FIR packing & octet units
 //
-// PR 10 extends packing past the first CIC stage: whole FIR/polyphase tails
-// run through the multi-lane dot kernels, and on an active AVX-512 tier the
-// bank forms 8-channel octets instead of quads.  These tests pin the new
-// seams: octet remainder lanes, the AVX-512 runtime cap, the set_packing
-// knob, mid-stream kill-switch flips, and full-scale per-lane values (the
-// widest intermediates the packed tail's narrow_ok fallback must survive).
+// Every CIC stage and every shared-tap FIR stage packs, and on an active
+// AVX-512 tier the bank forms 8-channel octets instead of quads.  These
+// tests pin the seams: octet remainder lanes, the AVX-512 runtime cap, the
+// set_packing knob, mid-stream kill-switch flips, full-scale per-lane
+// values (the widest intermediates the packed FIR's narrow_ok fallback must
+// survive), and retunes that knock one lane out of its group's phase.
 
 TEST(ChannelBank, PackedOctetsWithRemainderLanesMatchSolo) {
   // 11 channels: one octet + 3 singles on an active AVX-512 tier, two quads
@@ -448,7 +390,7 @@ TEST(ChannelBank, SetPackingOffMatchesPackedBitExact) {
 
 TEST(ChannelBank, PackedKillSwitchMidStreamStaysBitExact) {
   // Flip the kill switch off and back on across block seams: units regroup
-  // per block, per-lane state (CIC integrators, FIR rings, NCO phase) must
+  // per block, per-lane state (CIC integrators, FIR delay lines, NCO phase) must
   // carry across the strategy changes.
   const auto plans = detuned_plans(9);
   const auto input = stimulus(2688 * 3 + 100);
@@ -480,6 +422,38 @@ TEST(ChannelBank, PackedFullScaleInputStaysBitExact) {
   const auto input = dsp::quantize_signal(
       dsp::make_tone(10.0025e6, cfg.input_rate_hz, 2688 * 2 + 31, 0.999), 12);
   expect_bank_matches_solo(detuned_plans(8), input, 1);
+}
+
+TEST(ChannelBank, RetunesThroughChannelSwapPlanMatchStagedSwaps) {
+  // Between blocks one channel splices onto a hop frequency (state kept,
+  // still in phase with its group) and another flushes (fresh state: its
+  // lane falls out of phase and runs per stage) -- the staged pipelines
+  // taking the same swaps are the reference.
+  const auto plans = detuned_plans(9);
+  const auto input = stimulus(2688 * 3 + 211);
+  const std::size_t cut = 2688 + 97;
+  ChainPlan hop = plans[3];
+  hop.front_end.nco_freq_hz += 70.0e3;
+
+  ChannelBank bank(plans, 2);
+  std::vector<std::vector<IqSample>> got;
+  bank.process_block({input.data(), cut}, got);
+  bank.channel(3).swap_plan(hop, SwapMode::kSplice);
+  bank.channel(5).swap_plan(plans[5], SwapMode::kFlush);
+  ChainPlan regeom = plans[6];
+  regeom.stages[0].decimation += 1;
+  EXPECT_THROW(bank.channel(6).swap_plan(regeom, SwapMode::kSplice), ConfigError);
+  bank.process_block({input.data() + cut, input.size() - cut}, got);
+
+  for (std::size_t c = 0; c < plans.size(); ++c) {
+    DdcPipeline solo(plans[c]);
+    std::vector<IqSample> want;
+    solo.process_block({input.data(), cut}, want);
+    if (c == 3) solo.swap_plan(hop, SwapMode::kSplice);
+    if (c == 5) solo.swap_plan(plans[5], SwapMode::kFlush);
+    solo.process_block({input.data() + cut, input.size() - cut}, want);
+    expect_equal(got[c], want, c);
+  }
 }
 
 }  // namespace

@@ -2,16 +2,22 @@
 // the process-wide CompiledPlanCache (hit/miss/eviction/holder-survival
 // semantics, concurrent compile), and the fused tile executor's bit-exactness
 // against the staged DdcPipeline -- across randomized topologies, streaming
-// seams, both simd kill-switch states, and kSplice retunes.
+// seams, both simd kill-switch states, kSplice retunes, and lane groups of
+// 4 and 8 channels.
 //
 // The cache and pool are process-wide singletons shared with every other
 // test in this binary, so every assertion on their counters works on deltas.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <span>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "src/asic/gc4016.hpp"
 #include "src/common/error.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/simd.hpp"
@@ -376,180 +382,412 @@ TEST(FusedChainExec, SpliceRejectsStructuralChanges) {
   EXPECT_THROW(fused.splice(incompatible), ConfigError);
 }
 
-// ------------------------------------------------------------- DA lowering
+// ------------------------------------------------------------ key properties
 
-/// Restores the process-wide FIR lowering policy on scope exit (it is
-/// shared with every other test in this binary).
-class ScopedLoweringPolicy {
- public:
-  explicit ScopedLoweringPolicy(FirLoweringPolicy p) : prev_(fir_lowering_policy()) {
-    set_fir_lowering_policy(p);
-  }
-  ~ScopedLoweringPolicy() { set_fir_lowering_policy(prev_); }
-  ScopedLoweringPolicy(const ScopedLoweringPolicy&) = delete;
-  ScopedLoweringPolicy& operator=(const ScopedLoweringPolicy&) = delete;
-
- private:
-  FirLoweringPolicy prev_;
-};
-
-bool is_fir(const StageSpec& st) {
-  return st.kind == StageSpec::Kind::kFirDecimator ||
-         st.kind == StageSpec::Kind::kPolyphaseFir;
-}
-
-TEST(DaLowering, CompiledPlanTracksWidthsCostsAndTables) {
-  const auto compiled =
-      CompiledPlanCache::instance().get_or_compile(reference_plan());
-  const auto& stages = compiled->plan().stages;
-  ASSERT_EQ(compiled->stage_input_bits().size(), stages.size());
-  ASSERT_EQ(compiled->stage_lowering().size(), stages.size());
-  ASSERT_EQ(compiled->stage_da_cost().size(), stages.size());
-  ASSERT_EQ(compiled->stage_da_tables().size(), stages.size());
-
-  bool saw_fir = false;
-  for (std::size_t i = 0; i < stages.size(); ++i) {
-    if (!is_fir(stages[i])) {
-      EXPECT_EQ(compiled->stage_da_tables()[i], nullptr) << "stage " << i;
-      EXPECT_EQ(compiled->stage_lowering()[i], FirLowering::kMac) << "stage " << i;
-      continue;
-    }
-    saw_fir = true;
-    // Figure 1 wide16: the CIC narrows pin the FIR's input bus at 16 bits,
-    // inside DA range, so the cost model runs and tables are built.
-    EXPECT_EQ(compiled->stage_input_bits()[i], 16) << "stage " << i;
-    const auto& cost = compiled->stage_da_cost()[i];
-    EXPECT_TRUE(cost.eligible) << "stage " << i;
-    EXPECT_EQ(cost.macs_per_output, stages[i].taps.size()) << "stage " << i;
-    ASSERT_NE(compiled->stage_da_tables()[i], nullptr) << "stage " << i;
-    EXPECT_EQ(compiled->stage_da_tables()[i]->size(), cost.table_entries);
-    // The stored lowering is the pure kAuto outcome (16-bit Figure 1 loses
-    // on lookups-vs-MACs, so kAuto keeps MAC).
-    EXPECT_EQ(compiled->stage_lowering()[i],
-              cost.auto_wins ? FirLowering::kDa : FirLowering::kMac);
-  }
-  EXPECT_TRUE(saw_fir);
-}
-
-TEST(DaLowering, ForceDaEngagesEligibleStagesOnly) {
-  ScopedLoweringPolicy policy(FirLoweringPolicy::kForceDa);
-  FusedChainExec exec(CompiledPlanCache::instance().get_or_compile(reference_plan()));
-  const auto& compiled = exec.compiled();
-  bool any_da = false;
-  for (std::size_t i = 0; i < compiled.plan().stages.size(); ++i) {
-    if (is_fir(compiled.plan().stages[i]) && compiled.stage_da_tables()[i]) {
-      EXPECT_EQ(exec.active_lowering(i), FirLowering::kDa) << "stage " << i;
-      any_da = true;
-    } else {
-      EXPECT_EQ(exec.active_lowering(i), FirLowering::kMac) << "stage " << i;
-    }
-  }
-  EXPECT_TRUE(any_da);
-}
-
-TEST(DaLowering, ForceMacDisengagesEveryStage) {
-  ScopedLoweringPolicy policy(FirLoweringPolicy::kForceMac);
-  FusedChainExec exec(CompiledPlanCache::instance().get_or_compile(reference_plan()));
-  for (std::size_t i = 0; i < exec.compiled().plan().stages.size(); ++i)
-    EXPECT_EQ(exec.active_lowering(i), FirLowering::kMac) << "stage " << i;
-}
-
-TEST(DaLowering, ForceDaBitExactWithMacAndStagedAcrossTopologies) {
-  // The acceptance property: DA-lowered execution equals MAC execution
-  // equals the staged DdcPipeline bit for bit, over randomized topologies
-  // (every stage narrows to 16 bits, so every FIR stage is DA-eligible) and
-  // uneven block seams.  The per-tile fits-guard makes this unconditional.
-  Rng rng(0xda10);
-  for (int trial = 0; trial < 8; ++trial) {
-    const ChainPlan plan = random_arbitrary_plan(rng, 600 + trial);
-    const auto compiled = CompiledPlanCache::instance().get_or_compile(plan);
-    const auto block_a = stimulus(4097, 900 + static_cast<std::uint64_t>(trial));
-    const auto block_b = stimulus(1700, 950 + static_cast<std::uint64_t>(trial));
-
-    DdcPipeline staged(plan);
-    std::vector<IqSample> want;
-    staged.process_block(block_a, want);
-    staged.process_block(block_b, want);
-
-    std::vector<IqSample> got_mac;
-    {
-      ScopedLoweringPolicy policy(FirLoweringPolicy::kForceMac);
-      FusedChainExec exec(compiled);
-      exec.process_block(block_a, got_mac);
-      exec.process_block(block_b, got_mac);
-    }
-    std::vector<IqSample> got_da;
-    {
-      ScopedLoweringPolicy policy(FirLoweringPolicy::kForceDa);
-      FusedChainExec exec(compiled);
-      exec.process_block(block_a, got_da);
-      exec.process_block(block_b, got_da);
-    }
-    EXPECT_EQ(want, got_mac) << plan.name;
-    EXPECT_EQ(got_mac, got_da) << plan.name;
+TEST(PlanCompilerKeys, EveryDatapathFieldChangesTheCanonicalKey) {
+  const ChainPlan base = reference_plan();  // cic2 -> cic5 -> polyphase fir
+  const std::string key = canonical_plan_key(base);
+  using Edit = std::pair<const char*, std::function<void(ChainPlan&)>>;
+  const std::vector<Edit> edits = {
+      {"input rate", [](ChainPlan& p) { p.input_rate_hz *= 2.0; }},
+      {"tuning word", [](ChainPlan& p) { p.front_end.nco_freq_hz += 1.0e3; }},
+      {"nco amplitude bits", [](ChainPlan& p) { p.front_end.nco_amplitude_bits -= 1; }},
+      {"nco table bits", [](ChainPlan& p) { p.front_end.nco_table_bits -= 1; }},
+      {"nco mode", [](ChainPlan& p) { p.front_end.nco_mode = dsp::Nco::Mode::kTaylor; }},
+      {"input bits", [](ChainPlan& p) { p.front_end.input_bits += 1; }},
+      {"mixer bits", [](ChainPlan& p) { p.front_end.mixer_out_bits -= 1; }},
+      {"mixer rounding",
+       [](ChainPlan& p) { p.front_end.mixer_rounding = fixed::Rounding::kNearest; }},
+      {"stage kind",
+       [](ChainPlan& p) { p.stages[2].kind = StageSpec::Kind::kFirDecimator; }},
+      {"decimation", [](ChainPlan& p) { p.stages[0].decimation += 1; }},
+      {"cic stages", [](ChainPlan& p) { p.stages[1].cic_stages -= 1; }},
+      {"diff delay", [](ChainPlan& p) { p.stages[1].diff_delay = 2; }},
+      {"cic input bits", [](ChainPlan& p) { p.stages[1].input_bits += 1; }},
+      {"register bits", [](ChainPlan& p) { p.stages[0].register_bits = 40; }},
+      {"empty vs populated prune shifts",
+       [](ChainPlan& p) { p.stages[0].prune_shifts.assign(2, 0); }},
+      {"tap value", [](ChainPlan& p) { p.stages[2].taps[5] += 1; }},
+      {"tap count", [](ChainPlan& p) { p.stages[2].taps.push_back(0); }},
+      {"post shift", [](ChainPlan& p) { p.stages[2].post_shift += 1; }},
+      {"narrow bits", [](ChainPlan& p) { p.stages[1].narrow_bits -= 1; }},
+      {"rounding", [](ChainPlan& p) { p.stages[0].rounding = fixed::Rounding::kNearest; }},
+      {"stage count", [](ChainPlan& p) { p.stages.push_back(StageSpec::passthrough()); }},
+  };
+  ASSERT_EQ(base.stages[0].rounding, fixed::Rounding::kTruncate);
+  for (const auto& [what, edit] : edits) {
+    ChainPlan p = base;
+    edit(p);
+    EXPECT_NE(canonical_plan_key(p), key) << what;
   }
 }
 
-TEST(DaLowering, SpliceRebuildsTheDaEngineFromTheNextPlan) {
-  ScopedLoweringPolicy policy(FirLoweringPolicy::kForceDa);
-  auto& cache = CompiledPlanCache::instance();
+/// One random edit of `p` that keeps it valid: either a field a kSplice may
+/// change (frequency, coefficients, conditioning) or a structural one.
+void mutate(ChainPlan& p, Rng& rng) {
+  StageSpec& st = p.stages[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(p.stages.size()) - 1))];
+  const bool cic = st.kind == StageSpec::Kind::kCic;
+  switch (rng.uniform_int(0, 14)) {
+    case 0: p.front_end.nco_freq_hz = rng.uniform(1.0e6, 15.0e6); break;
+    case 1: st.post_shift += 1; break;
+    case 2: st.narrow_bits = st.narrow_bits == 16 ? 18 : 16; break;
+    case 3: st.rounding = fixed::Rounding::kNearest; break;
+    case 4:
+      if (!st.taps.empty()) st.taps[st.taps.size() / 2] += 1;
+      break;
+    case 5: p.input_rate_hz *= 1.5; break;
+    case 6: p.front_end.mixer_out_bits -= 1; break;
+    case 7: p.front_end.nco_mode = dsp::Nco::Mode::kTaylor; break;
+    case 8:
+      if (st.kind != StageSpec::Kind::kScale) st.decimation += 1;
+      break;
+    case 9:
+      if (cic) {
+        st.cic_stages = st.cic_stages % 8 + 1;
+        if (!st.prune_shifts.empty())
+          st.prune_shifts.assign(static_cast<std::size_t>(st.cic_stages), 0);
+      }
+      break;
+    case 10:
+      if (cic)
+        st.prune_shifts = st.prune_shifts.empty()
+                              ? std::vector<int>(static_cast<std::size_t>(st.cic_stages), 0)
+                              : std::vector<int>{};
+      break;
+    case 11:
+      if (cic) st.register_bits = st.register_bits == 0 ? 60 : 0;
+      break;
+    case 12:
+      if (!st.taps.empty()) st.taps.push_back(1);
+      break;
+    case 13:
+      if (!cic)
+        st.kind = st.kind == StageSpec::Kind::kFirDecimator
+                      ? StageSpec::Kind::kPolyphaseFir
+                      : StageSpec::Kind::kFirDecimator;
+      break;
+    default: p.stages.push_back(StageSpec::scale("extra", 1, 16)); break;
+  }
+}
+
+TEST(PlanCompilerKeys, EqualStructuralKeysIffStagedSpliceAccepts) {
+  Rng rng(0x5eed);
+  int accepted = 0;
+  int rejected = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const ChainPlan a = random_arbitrary_plan(rng, trial);
+    ChainPlan b = a;
+    const auto edits = rng.uniform_int(1, 3);
+    for (std::int64_t e = 0; e < edits; ++e) mutate(b, rng);
+    ASSERT_NO_THROW(b.validate()) << "trial " << trial;
+
+    DdcPipeline staged(a);
+    bool splices = true;
+    try {
+      staged.swap_plan(b, SwapMode::kSplice);
+    } catch (const ConfigError&) {
+      splices = false;
+    }
+    const std::string sa = structural_plan_key(a);
+    const std::string sb = structural_plan_key(b);
+    EXPECT_EQ(sa == sb, splices) << "trial " << trial;
+    (splices ? accepted : rejected) += 1;
+    // Prefix-free: distinct keys never extend one another, so concatenated
+    // keys stay unambiguous.
+    for (const auto& [ka, kb] : {std::pair{sa, sb},
+                                 std::pair{canonical_plan_key(a), canonical_plan_key(b)}}) {
+      if (ka == kb) continue;
+      EXPECT_NE(ka.compare(0, kb.size(), kb), 0) << "trial " << trial;
+      EXPECT_NE(kb.compare(0, ka.size(), ka), 0) << "trial " << trial;
+    }
+  }
+  // Both sides of the equivalence are exercised.
+  EXPECT_GT(accepted, 20);
+  EXPECT_GT(rejected, 20);
+}
+
+TEST(PlanCompilerKeys, EqualCanonicalKeysGiveIdenticalOutputs) {
+  Rng rng(0xca11);
+  for (int trial = 0; trial < 6; ++trial) {
+    ChainPlan a = random_arbitrary_plan(rng, 700 + trial);
+    // Pin the frequency to a tuning word so the twin can move inside its LSB.
+    const double lsb = dsp::PhaseAccumulator::resolution_hz(a.input_rate_hz);
+    a.front_end.nco_freq_hz =
+        static_cast<double>(dsp::PhaseAccumulator::tuning_word(a.front_end.nco_freq_hz,
+                                                               a.input_rate_hz)) *
+        lsb;
+    ChainPlan b = a;
+    b.name = "twin";
+    b.front_end.nco_freq_hz += 0.25 * lsb;
+    for (auto& st : b.stages) {
+      st.label += "-twin";
+      st.post_scale *= 3.0;
+      st.taps_float.clear();
+    }
+    ASSERT_EQ(canonical_plan_key(a), canonical_plan_key(b)) << a.name;
+
+    const auto input = stimulus(4097, 800 + static_cast<std::uint64_t>(trial));
+    DdcPipeline pa(a);
+    DdcPipeline pb(b);
+    std::vector<IqSample> out_a;
+    std::vector<IqSample> out_b;
+    pa.process_block(input, out_a);
+    pb.process_block(input, out_b);
+    EXPECT_EQ(out_a, out_b) << a.name;
+    EXPECT_EQ(CompiledPlanCache::instance().get_or_compile(a).get(),
+              CompiledPlanCache::instance().get_or_compile(b).get())
+        << a.name;
+  }
+}
+
+// --------------------------------------------------------- fused swap_plan
+
+TEST(FusedChainExec, SwapPlanFollowsTheStagedContract) {
   const ChainPlan base = reference_plan();
-  ChainPlan retune = base;
-  retune.name = "da-retune";
-  retune.front_end.nco_freq_hz += 1.25e6;
-  for (auto& st : retune.stages)
-    if (!st.taps.empty())
-      for (auto& t : st.taps) t = -t;
+  ChainPlan hop = base;
+  hop.front_end.nco_freq_hz += 1.0e6;
+  ChainPlan regeom = base;
+  regeom.stages[1].decimation += 2;
+  ChainPlan invalid = base;
+  invalid.stages[0].decimation = 0;
 
   DdcPipeline staged(base);
-  FusedChainExec fused(cache.get_or_compile(base));
+  FusedChainExec fused(CompiledPlanCache::instance().get_or_compile(base));
   std::vector<IqSample> want;
   std::vector<IqSample> got;
-  const auto pre = stimulus(2688, 31);
-  staged.process_block(pre, want);
-  fused.process_block(pre, got);
-  ASSERT_EQ(want, got);
-
-  staged.swap_plan(retune, SwapMode::kSplice);
-  fused.splice(cache.get_or_compile(retune));
-  // Still DA after the splice (the new plan's tables), still bit-exact.
-  bool any_da = false;
-  for (std::size_t i = 0; i < fused.compiled().plan().stages.size(); ++i)
-    any_da = any_da || fused.active_lowering(i) == FirLowering::kDa;
-  EXPECT_TRUE(any_da);
-
-  want.clear();
-  got.clear();
-  const auto post = stimulus(2688 * 2, 32);
-  staged.process_block(post, want);
-  fused.process_block(post, got);
+  const auto run = [&](std::uint64_t seed) {
+    const auto block = stimulus(2688 + 311, seed);
+    staged.process_block(block, want);
+    fused.process_block(block, got);
+  };
+  run(41);
+  // Rejected swaps leave the old plan running on both paths.
+  EXPECT_THROW(staged.swap_plan(regeom, SwapMode::kSplice), ConfigError);
+  EXPECT_THROW(fused.swap_plan(regeom, SwapMode::kSplice), ConfigError);
+  EXPECT_THROW(fused.swap_plan(invalid, SwapMode::kFlush), ConfigError);
+  run(42);
+  staged.swap_plan(hop, SwapMode::kSplice);
+  fused.swap_plan(hop, SwapMode::kSplice);
+  run(43);
+  staged.swap_plan(regeom, SwapMode::kFlush);
+  fused.swap_plan(regeom, SwapMode::kFlush);
+  run(44);
+  EXPECT_EQ(fused.compiled().canonical_key(), canonical_plan_key(regeom));
   EXPECT_EQ(want, got);
 }
 
-TEST(DaLowering, DaTablesDedupThroughCoeffPool) {
-  auto& cache = CompiledPlanCache::instance();
-  cache.clear();  // force both compiles below to really run
-  const auto before = CoeffPool::instance().stats();
-  const auto a = cache.get_or_compile(reference_plan(10.0e6));
-  const auto b = cache.get_or_compile(reference_plan(10.5e6));  // same taps
-  const auto after = CoeffPool::instance().stats();
-  EXPECT_GE(after.da_requests - before.da_requests, 2u);
-  EXPECT_GE(after.da_hits - before.da_hits, 1u);
-  // Identical coefficient sets share one table allocation.
-  const auto& ta = a->stage_da_tables();
-  const auto& tb = b->stage_da_tables();
-  ASSERT_EQ(ta.size(), tb.size());
-  for (std::size_t i = 0; i < ta.size(); ++i)
-    EXPECT_EQ(ta[i].get(), tb[i].get()) << "stage " << i;
+// ------------------------------------------------------------ lane groups
+//
+// process_lanes against the reference: every lane of a group must equal its
+// own staged DdcPipeline fed the same blocks, whatever packs and whatever
+// falls back per lane.
+
+/// `n` lanes of `base`, each detuned by 37 kHz more than the last: one
+/// structure, a different stream per lane.
+std::vector<ChainPlan> lane_plans(const ChainPlan& base, int n) {
+  std::vector<ChainPlan> plans;
+  for (int l = 0; l < n; ++l) {
+    ChainPlan p = base;
+    p.front_end.nco_freq_hz += 37.0e3 * l;
+    plans.push_back(std::move(p));
+  }
+  return plans;
 }
 
-TEST(DaLowering, PolicySetterRoundTrips) {
-  const FirLoweringPolicy saved = fir_lowering_policy();
-  set_fir_lowering_policy(FirLoweringPolicy::kForceDa);
-  EXPECT_EQ(fir_lowering_policy(), FirLoweringPolicy::kForceDa);
-  set_fir_lowering_policy(FirLoweringPolicy::kAuto);
-  EXPECT_EQ(fir_lowering_policy(), FirLoweringPolicy::kAuto);
-  set_fir_lowering_policy(saved);
+/// A lane group and one staged pipeline per lane, fed identical blocks.
+class LaneRig {
+ public:
+  explicit LaneRig(const std::vector<ChainPlan>& plans)
+      : got_(plans.size()), want_(plans.size()) {
+    for (const ChainPlan& p : plans) {
+      lanes_.emplace_back(CompiledPlanCache::instance().get_or_compile(p));
+      refs_.emplace_back(p);
+    }
+  }
+
+  void feed(std::span<const std::int64_t> block) {
+    FusedChainExec* lanes[FusedChainExec::kMaxLanes];
+    std::vector<IqSample>* outs[FusedChainExec::kMaxLanes];
+    for (std::size_t l = 0; l < lanes_.size(); ++l) {
+      lanes[l] = &lanes_[l];
+      outs[l] = &got_[l];
+      refs_[l].process_block(block, want_[l]);
+    }
+    FusedChainExec::process_lanes(lanes, static_cast<int>(lanes_.size()), block, outs);
+  }
+
+  /// Feeds `input` in ragged blocks of 1..3000 samples, so block seams fall
+  /// inside tiles, stage decimations and FIR windows.
+  void feed_ragged(const std::vector<std::int64_t>& input, Rng& rng) {
+    for (std::size_t pos = 0; pos < input.size();) {
+      const auto len = std::min<std::size_t>(
+          static_cast<std::size_t>(rng.uniform_int(1, 3000)), input.size() - pos);
+      feed({input.data() + pos, len});
+      pos += len;
+    }
+  }
+
+  FusedChainExec& lane(std::size_t l) { return lanes_[l]; }
+  DdcPipeline& ref(std::size_t l) { return refs_[l]; }
+
+  void expect_lanes_match(const std::string& what) const {
+    for (std::size_t l = 0; l < lanes_.size(); ++l) {
+      EXPECT_FALSE(want_[l].empty()) << what << " lane " << l;
+      EXPECT_EQ(got_[l], want_[l]) << what << " lane " << l << " of " << lanes_.size();
+    }
+  }
+
+ private:
+  std::vector<FusedChainExec> lanes_;
+  std::vector<DdcPipeline> refs_;
+  std::vector<std::vector<IqSample>> got_;
+  std::vector<std::vector<IqSample>> want_;
+};
+
+void expect_group_matches(const ChainPlan& base, int n, std::uint64_t seed,
+                          const std::string& what) {
+  LaneRig rig(lane_plans(base, n));
+  Rng rng(seed);
+  rig.feed_ragged(stimulus(static_cast<std::size_t>(base.total_decimation()) * 4 + 777,
+                           seed),
+                  rng);
+  rig.expect_lanes_match(what + " n=" + std::to_string(n));
+}
+
+/// The paper's other lane-group shapes: the burst plan (CIC2 /12, CIC5 /14,
+/// 97-tap FIR) and the GC4016 Figure 4 chain (CIC5 -> CFIR -> PFIR).
+ChainPlan burst_plan() {
+  DdcConfig cfg = DdcConfig::reference(9.0e6);
+  cfg.cic2_decimation = 12;
+  cfg.cic5_decimation = 14;
+  cfg.fir_taps = 97;
+  return ChainPlan::figure1(cfg, DatapathSpec::wide16());
+}
+
+ChainPlan figure4_plan() {
+  asic::Gc4016ChannelConfig ch;
+  ch.nco_freq_hz = 15.0e6;
+  ch.cic_decimation = 64;
+  return asic::Gc4016Channel::figure4_plan(ch, 69.333e6, 14);
+}
+
+TEST(FusedChainExecLanes, PaperPlansMatchTheirStagedPipelines) {
+  for (const int n : {4, 8}) {
+    expect_group_matches(reference_plan(), n, 61, "figure1");
+    expect_group_matches(burst_plan(), n, 62, "burst");
+    expect_group_matches(figure4_plan(), n, 63, "figure4");
+  }
+}
+
+TEST(FusedChainExecLanes, RandomTopologiesMatchBothSimdStates) {
+  Rng rng(0x1a2e);
+  for (int trial = 0; trial < 8; ++trial) {
+    const ChainPlan plan = random_arbitrary_plan(rng, 900 + trial);
+    simd::ScopedEnable guard(trial % 4 < 2);
+    expect_group_matches(plan, trial % 2 == 0 ? 4 : 8,
+                         1000 + static_cast<std::uint64_t>(trial), plan.name);
+  }
+}
+
+TEST(FusedChainExecLanes, RandomTapFirShapesMatchAcrossSeams) {
+  // Integer taps anywhere in int16 (1..40 of them, decimation 1..9) behind a
+  // CIC, in both FIR forms -- the shapes the packed dot kernels must match.
+  Rng rng(0xf14);
+  for (int trial = 0; trial < 8; ++trial) {
+    ChainPlan plan;
+    plan.name = "random-taps-" + std::to_string(trial);
+    plan.input_rate_hz = 40.0e6;
+    plan.front_end.nco_freq_hz = rng.uniform(2.0e6, 12.0e6);
+    StageSpec cic = StageSpec::cic("cic", 3, static_cast<int>(rng.uniform_int(2, 5)), 16);
+    cic.post_shift = fixed::cic_bit_growth(3, cic.decimation);
+    cic.narrow_bits = 16;
+    std::vector<std::int64_t> taps(static_cast<std::size_t>(rng.uniform_int(1, 40)));
+    for (auto& t : taps) t = rng.uniform_int(-32768, 32767);
+    const int d = static_cast<int>(rng.uniform_int(1, 9));
+    StageSpec fir = trial % 2 == 0 ? StageSpec::fir("fir", taps, {}, d)
+                                   : StageSpec::polyphase_fir("pfir", taps, {}, d);
+    fir.post_shift = 15;
+    fir.narrow_bits = 16;
+    plan.stages = {cic, fir};
+    expect_group_matches(plan, trial < 4 ? 4 : 8, 1100 + static_cast<std::uint64_t>(trial),
+                         plan.name);
+  }
+}
+
+TEST(FusedChainExecLanes, KillSwitchAndAvx512CapFlipsMidStream) {
+  // Tiers come and go between blocks: octets fall back to quads under the
+  // AVX-512 cap and to per-lane scalar stages under the kill switch, with
+  // every lane's state carried across the switches.
+  for (const int n : {4, 8}) {
+    LaneRig rig(lane_plans(reference_plan(), n));
+    Rng rng(71);
+    for (int step = 0; step < 6; ++step) {
+      const auto block = stimulus(2688 + static_cast<std::size_t>(rng.uniform_int(0, 900)),
+                                  72 + static_cast<std::uint64_t>(step));
+      simd::ScopedEnable on(step % 3 != 1);
+      simd::ScopedAvx512 cap(step % 3 != 2);
+      rig.feed(block);
+    }
+    rig.expect_lanes_match("tier flips n=" + std::to_string(n));
+  }
+}
+
+TEST(FusedChainExecLanes, LaneWithOtherTapsStaysExact) {
+  // One lane's FIR taps differ (same count, so same structure): the FIR
+  // stage declines to pack for that lane's group while its CIC stages
+  // still pack.
+  for (const int n : {4, 8}) {
+    std::vector<ChainPlan> plans = lane_plans(reference_plan(), n);
+    for (auto& t : plans[1].stages[2].taps) t = -t;
+    LaneRig rig(plans);
+    Rng rng(81);
+    rig.feed_ragged(stimulus(2688 * 3 + 55, 82), rng);
+    rig.expect_lanes_match("other taps n=" + std::to_string(n));
+  }
+}
+
+TEST(FusedChainExecLanes, FlushedLaneRunsOutOfPhase) {
+  // A kFlush mid-stream restarts one lane's decimation phases; from then on
+  // its group's CIC and FIR stages run that lane per lane.
+  for (const int n : {4, 8}) {
+    const std::vector<ChainPlan> plans = lane_plans(reference_plan(), n);
+    LaneRig rig(plans);
+    Rng rng(91);
+    rig.feed_ragged(stimulus(2688 + 1234, 92), rng);
+    rig.lane(2).swap_plan(plans[2], SwapMode::kFlush);
+    rig.ref(2).swap_plan(plans[2], SwapMode::kFlush);
+    rig.feed_ragged(stimulus(2688 * 3, 93), rng);
+    rig.expect_lanes_match("flushed lane n=" + std::to_string(n));
+  }
+}
+
+TEST(FusedChainExecLanes, RejectsBadGroupsWithoutAdvancingState) {
+  LaneRig rig(lane_plans(reference_plan(), 4));
+  ChainPlan other = reference_plan();
+  other.stages[0].decimation += 1;
+  FusedChainExec odd(CompiledPlanCache::instance().get_or_compile(other));
+  std::vector<IqSample> sink[FusedChainExec::kMaxLanes + 1];
+  FusedChainExec* lanes[FusedChainExec::kMaxLanes + 1];
+  std::vector<IqSample>* outs[FusedChainExec::kMaxLanes + 1];
+  for (int l = 0; l <= FusedChainExec::kMaxLanes; ++l) {
+    lanes[l] = &rig.lane(static_cast<std::size_t>(l % 4));
+    outs[l] = &sink[l];
+  }
+  const auto good = stimulus(512, 5);
+  EXPECT_THROW(FusedChainExec::process_lanes(lanes, 0, good, outs), ConfigError);
+  EXPECT_THROW(FusedChainExec::process_lanes(lanes, FusedChainExec::kMaxLanes + 1,
+                                             good, outs),
+               ConfigError);
+  lanes[3] = &odd;  // a different structure cannot join the group
+  EXPECT_THROW(FusedChainExec::process_lanes(lanes, 4, good, outs), ConfigError);
+  lanes[3] = &rig.lane(3);
+  auto bad = good;
+  bad[300] = std::int64_t{1} << 40;  // does not fit 12 bits
+  EXPECT_THROW(FusedChainExec::process_lanes(lanes, 4, bad, outs), SimulationError);
+  // Nothing advanced: the group still tracks its references exactly.
+  rig.feed(stimulus(2688 * 2, 6));
+  rig.expect_lanes_match("after rejections");
 }
 
 }  // namespace

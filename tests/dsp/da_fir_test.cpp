@@ -2,8 +2,7 @@
 // (mod 2^64) with the MAC dot product whenever the window fits the engine's
 // input width, across odd tap counts (partial final slice), every supported
 // width, and negative samples (the sign-bit weight).  fits() is the guard
-// that makes the lowering unconditional; the cost model feeds both the plan
-// compiler's kAuto decision and the energy layer.
+// under which the two agree; the cost model feeds the energy layer.
 #include "src/dsp/da_fir.hpp"
 
 #include <gtest/gtest.h>
