@@ -30,7 +30,7 @@
 // the graceful-degradation headline).  PR 8 adds "stream_engine:saturation"
 // (aggregate serving rate + p99 inter-chunk gap at 64..4096 sessions,
 // single engine vs sharded EngineGroup -- the scale-out headline) and the
-// "workers_effective" field (TWIDDC_WORKERS / set_workers land here).
+// "workers_effective" field (the resolved count, where TWIDDC_WORKERS lands).
 // PR 10 adds "figure1:packed_fir" (cross-channel packed kernels vs
 // monolithic per-channel chains at 64 channels, one line per kernel tier)
 // and "figure1:da_vs_mac" (the distributed-arithmetic FIR model vs the MAC
@@ -679,7 +679,7 @@ void bench_stream_sessions() {
         .field("chain", std::string("stream_engine:figure1"))
         .field("sessions", sessions)
         .field("workers", static_cast<std::size_t>(hw))
-        .field("workers_effective", static_cast<std::size_t>(engine.effective_workers()))
+        .field("workers_effective", static_cast<std::size_t>(engine.options().workers))
         .field("block_samples", opts.block_samples)
         .field("aggregate_msamples_per_s", aggregate)
         .field("scaling_vs_single", single_rate > 0.0 ? aggregate / single_rate : 0.0)
@@ -766,7 +766,7 @@ void bench_stream_overload() {
         .field("shed", shed)
         .field("sessions", static_cast<std::size_t>(2 * hw))
         .field("workers", static_cast<std::size_t>(hw))
-        .field("workers_effective", static_cast<std::size_t>(engine.effective_workers()))
+        .field("workers_effective", static_cast<std::size_t>(engine.options().workers))
         .field("block_samples", opts.block_samples)
         .field("window_ms", static_cast<std::size_t>(kWindow.count()))
         .field("survivor_p50_gap_ms", recorder.gap_quantile_ms(ids, 0.50))
@@ -905,7 +905,7 @@ void bench_stream_saturation() {
       std::size_t workers_effective = 0;
       for (std::size_t i = 0; i < group.shard_count(); ++i)
         workers_effective +=
-            static_cast<std::size_t>(group.shard(i).effective_workers());
+            static_cast<std::size_t>(group.shard(i).options().workers);
 
       // Drain by index, not session id: ids are per-engine counters and
       // collide across shards, which would pool gap samples wrongly.

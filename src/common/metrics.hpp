@@ -1,9 +1,9 @@
-// twiddc::metrics -- the telemetry registry: named counters, gauges and
-// log-bucketed histograms, rendered to JSON through one code path
-// (common/json.hpp) so stream::stats_json(), EngineGroup::stats_json()
-// and the bench writers stop hand-rolling their own blocks.
+// twiddc::metrics -- log-bucketed latency histograms.  StreamEngine keeps
+// one per latency it reports (rendered into the "latency" object of
+// stats_json() through common/json.hpp), and stream/sink.hpp keeps one per
+// session for inter-chunk gaps.
 //
-// All mutators are lock-free atomics; counts are exact (fetch_add), only
+// record() is lock-free atomics; counts are exact (fetch_add), only
 // histogram *quantiles* are approximate (log-linear buckets, 8 linear
 // sub-buckets per octave => a reported quantile is the bucket upper bound,
 // at most ~12.5% above the true value).  Everything is safe to hammer
@@ -13,36 +13,10 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <string>
 
 #include "src/common/json.hpp"
 
 namespace twiddc::metrics {
-
-/// Monotonic event count.
-class Counter {
- public:
-  void add(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t value() const {
-    return v_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> v_{0};
-};
-
-/// Last-written instantaneous value (queue depth, active workers, ...).
-class Gauge {
- public:
-  void set(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t d) { v_.fetch_add(d, std::memory_order_relaxed); }
-  [[nodiscard]] std::int64_t value() const {
-    return v_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::int64_t> v_{0};
-};
 
 /// Log-linear histogram bucket layout, shared by Histogram and its
 /// snapshots.  Values 0..15 land in exact unit buckets; above that each
@@ -103,29 +77,6 @@ class Histogram {
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
   std::atomic<std::uint64_t> max_{0};
-};
-
-/// Process-wide named-metric registry.  Lookup interns the name under a
-/// mutex and returns a stable reference; call sites cache the reference
-/// (instruments are never destroyed).  to_json() renders every registered
-/// instrument sorted by name -- the one stats surface shared by engine,
-/// group and bench writers.
-class Registry {
- public:
-  static Registry& instance();
-
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name);
-
-  /// {"counters": {...}, "gauges": {...}, "histograms": {name: {...}}}
-  [[nodiscard]] std::string to_json() const;
-
- private:
-  Registry() = default;
-  struct Impl;
-  Impl& impl();
-  [[nodiscard]] const Impl& impl() const;
 };
 
 }  // namespace twiddc::metrics

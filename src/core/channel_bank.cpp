@@ -23,24 +23,12 @@ ChannelBank::ChannelBank(const std::vector<ChainPlan>& plans, int workers) {
   channels_.reserve(plans.size());
   for (const auto& plan : plans)
     channels_.emplace_back(CompiledPlanCache::instance().get_or_compile(plan));
-  set_workers(workers);
-}
-
-ChannelBank::~ChannelBank() = default;
-ChannelBank::ChannelBank(ChannelBank&&) noexcept = default;
-ChannelBank& ChannelBank::operator=(ChannelBank&&) noexcept = default;
-
-void ChannelBank::set_workers(int workers) {
   workers_ = std::clamp(workers, 1, static_cast<int>(channels_.size()));
   // The scheduler holds workers_-1 threads; the calling thread participates
   // in every process_block via the fork-join steal loop.
-  const int pool_size = workers_ - 1;
-  if (sched_ && sched_->workers() != pool_size) sched_.reset();
-  if (!sched_ && pool_size > 0) {
+  if (workers_ > 1) {
     common::TaskScheduler::Options opts;
-    opts.initial = pool_size;
-    opts.min_workers = pool_size;
-    opts.max_workers = pool_size;
+    opts.threads = workers_ - 1;
     // Spread the fork-join pool across NUMA nodes (a no-op on one-node
     // boxes): a stolen tile runs on the node its thief's deque lives on,
     // and the thief's scratch stays node-local.
@@ -48,6 +36,10 @@ void ChannelBank::set_workers(int workers) {
     sched_ = std::make_unique<common::TaskScheduler>(opts);
   }
 }
+
+ChannelBank::~ChannelBank() = default;
+ChannelBank::ChannelBank(ChannelBank&&) noexcept = default;
+ChannelBank& ChannelBank::operator=(ChannelBank&&) noexcept = default;
 
 std::vector<ChannelBank::Unit> ChannelBank::make_units() const {
   std::vector<Unit> units;

@@ -46,7 +46,8 @@ namespace twiddc::core {
 class ChannelBank {
  public:
   /// Builds one executor per plan.  Throws ConfigError if any plan is
-  /// invalid or the list is empty.
+  /// invalid or the list is empty.  `workers` (clamped to [1, channels]) is
+  /// the thread count process_block uses, fixed for the bank's lifetime.
   explicit ChannelBank(const std::vector<ChainPlan>& plans, int workers = 1);
   ~ChannelBank();
   ChannelBank(ChannelBank&&) noexcept;
@@ -61,8 +62,6 @@ class ChannelBank {
     return channels_.at(i);
   }
 
-  /// Worker threads used by process_block (clamped to [1, channels]).
-  void set_workers(int workers);
   [[nodiscard]] int workers() const { return workers_; }
 
   /// The bank's task scheduler (null in serial mode) -- exposed so tests

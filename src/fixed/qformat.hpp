@@ -4,8 +4,7 @@
 // integers whose width is a *runtime* property (a 12-bit bus, a 31-bit
 // accumulator, a 16-bit ALU).  These helpers implement the width-limited
 // arithmetic all of them share: saturation, wrap-around, and rounded
-// right-shifts.  The typed FixedPoint wrapper in fixed_point.hpp builds on
-// the same primitives.
+// right-shifts.
 #pragma once
 
 #include <cassert>

@@ -41,7 +41,7 @@ using SourceFactory = std::function<std::unique_ptr<Source>()>;
 struct EngineGroupOptions {
   /// Shard count.  <= 0 resolves to one shard per NUMA node (>= 1).
   int shards = 0;
-  /// Per-shard engine options.  workers/min/max apply to EACH shard.  When
+  /// Per-shard engine options.  `workers` applies to EACH shard.  When
   /// the machine has multiple NUMA nodes and engine.preferred_node is -1,
   /// shard i is pinned to node (i mod node_count) automatically.
   EngineOptions engine;

@@ -1,4 +1,4 @@
-// Tests for the support library: tables, RNG, dB helpers, units, errors.
+// Tests for the support library: tables, RNG, dB helpers, errors.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +9,6 @@
 #include "src/common/error.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/table.hpp"
-#include "src/common/units.hpp"
 
 namespace twiddc {
 namespace {
@@ -119,14 +118,6 @@ TEST(DbTest, RoundTrips) {
   EXPECT_DOUBLE_EQ(power_db(0.0), -300.0);   // clamped, not -inf
   EXPECT_DOUBLE_EQ(power_db(-1.0), -300.0);
   EXPECT_DOUBLE_EQ(amplitude_db(-0.5), amplitude_db(0.5));  // |.|
-}
-
-TEST(UnitsTest, LiteralsAndReferenceRates) {
-  using namespace twiddc;
-  EXPECT_DOUBLE_EQ(64.512_MHz, 64.512e6);
-  EXPECT_DOUBLE_EQ(24_kHz, 24.0e3);
-  EXPECT_DOUBLE_EQ(100_Hz, 100.0);
-  EXPECT_DOUBLE_EQ(kReferenceInputRateHz / kReferenceOutputRateHz, 2688.0);
 }
 
 TEST(ErrorTest, TypesAreDistinctAndCatchable) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
@@ -13,6 +14,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "src/common/topology.hpp"
 
 namespace twiddc::common {
 namespace {
@@ -190,25 +193,32 @@ TEST(TaskScheduler, ExternalWaiterHelpsExecuteChainedWork) {
 TEST(TaskScheduler, ManyProducersManyTasksUnderChurn) {
   // Stress: 4 client threads firehose targeted and untargeted tasks at a
   // 3-worker scheduler (TSan coverage for inbox, deque, steal, sleep).
+  // Targets span [0, 7): submit_to routes modulo workers(), so targets at
+  // or past the worker count must still land on a live worker.
   TaskScheduler sched(3);
   TaskScheduler::Group group;
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 500;
+  constexpr int kTargets = 7;
   std::atomic<int> ran{0};
+  std::vector<std::atomic<int>> runs(kProducers * kPerProducer);
   group.expect(kProducers * kPerProducer);
   std::vector<std::thread> producers;
   producers.reserve(kProducers);
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
       for (int i = 0; i < kPerProducer; ++i) {
-        auto task = [&ran, group] {
+        std::atomic<int>& slot =
+            runs[static_cast<std::size_t>(p * kPerProducer + i)];
+        auto task = [&ran, &slot, group] {
           ran.fetch_add(1, std::memory_order_relaxed);
+          slot.fetch_add(1, std::memory_order_relaxed);
           group.complete();
         };
         if (i % 3 == 0)
           sched.submit(task);
         else
-          sched.submit_to((p + i) % 3, task);
+          sched.submit_to((p + i) % kTargets, task);
       }
     });
   }
@@ -216,105 +226,33 @@ TEST(TaskScheduler, ManyProducersManyTasksUnderChurn) {
   sched.wait(group);
   group.rethrow_if_error();
   EXPECT_EQ(ran.load(), kProducers * kPerProducer);
+  for (std::size_t k = 0; k < runs.size(); ++k)
+    ASSERT_EQ(runs[k].load(), 1) << "task " << k;
 }
 
 TEST(TaskScheduler, OptionsClampBoundsAndCompatCtorIsFixedSize) {
   TaskScheduler::Options opts;
-  opts.initial = 2;
-  opts.min_workers = 1;
-  opts.max_workers = 4;
+  opts.threads = 2;
   TaskScheduler sched(opts);
   EXPECT_EQ(sched.workers(), 2);
-  EXPECT_EQ(sched.min_workers(), 1);
-  EXPECT_EQ(sched.max_workers(), 4);
-  EXPECT_EQ(sched.resize(99), 4);   // clamped to max
-  EXPECT_EQ(sched.resize(0), 1);    // clamped to min
-  EXPECT_GE(sched.stats().resizes, 2u);
+
+  // Options resolves <= 0 to default_worker_count(), never below one.
+  opts.threads = -3;
+  TaskScheduler defaulted(opts);
+  EXPECT_EQ(defaulted.workers(), std::max(1, default_worker_count()));
 
   TaskScheduler fixed(3);
   EXPECT_EQ(fixed.workers(), 3);
-  EXPECT_EQ(fixed.max_workers(), 3);
-  EXPECT_EQ(fixed.resize(1), 3);  // min == max: resize is a no-op
-}
-
-TEST(TaskScheduler, ElasticResizeGrowShrinkUnderLoad) {
-  // Grow and shrink repeatedly while 2 client threads keep the queues fed:
-  // every task must still run exactly once -- forwarding on deactivation
-  // loses nothing, and tasks routed to a worker mid-shrink still execute.
-  TaskScheduler::Options opts;
-  opts.initial = 1;
-  opts.min_workers = 1;
-  opts.max_workers = 4;
-  TaskScheduler sched(opts);
-  TaskScheduler::Group group;
-  constexpr int kProducers = 2;
-  constexpr int kPerProducer = 800;
-  std::atomic<int> ran{0};
-  group.expect(kProducers * kPerProducer);
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        auto task = [&ran, group] {
-          ran.fetch_add(1, std::memory_order_relaxed);
-          group.complete();
-        };
-        // Target the full slot range: submit_to mods by the ACTIVE count,
-        // so shrink races must land tasks on live workers regardless.
-        sched.submit_to((p + i) % 4, task);
-        if (i % 50 == 25) sched.resize(1 + (i / 50) % 4);
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  sched.wait(group);
-  group.rethrow_if_error();
-  EXPECT_EQ(ran.load(), kProducers * kPerProducer);
-  EXPECT_GE(sched.stats().resizes, 1u);
-}
-
-TEST(TaskScheduler, ShrinkDuringForkJoinWaitStillCompletes) {
-  // The external waiter must see completion even when the worker holding
-  // the last tasks is deactivated mid-wait (its deque forwards to the
-  // surviving active prefix).
-  TaskScheduler::Options opts;
-  opts.initial = 3;
-  opts.min_workers = 1;
-  opts.max_workers = 3;
-  TaskScheduler sched(opts);
-  TaskScheduler::Group group;
-  constexpr int kTasks = 300;
-  std::atomic<int> ran{0};
-  group.expect(kTasks);
-  for (int i = 0; i < kTasks; ++i)
-    sched.submit_to(i % 3, [&ran, group] {
-      ran.fetch_add(1, std::memory_order_relaxed);
-      group.complete();
-    });
-  std::thread shrinker([&sched] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    sched.resize(1);
-  });
-  sched.wait(group);
-  group.rethrow_if_error();
-  shrinker.join();
-  EXPECT_EQ(ran.load(), kTasks);
-  EXPECT_EQ(sched.workers(), 1);
+  TaskScheduler floored(0);  // the int ctor clamps to >= 1
+  EXPECT_EQ(floored.workers(), 1);
 }
 
 TEST(TaskScheduler, WorkerSnapshotCoversEverySlot) {
   TaskScheduler::Options opts;
-  opts.initial = 2;
-  opts.min_workers = 1;
-  opts.max_workers = 4;
+  opts.threads = 4;
   TaskScheduler sched(opts);
   const auto snap = sched.worker_snapshot();
   ASSERT_EQ(snap.size(), 4u);
-  EXPECT_TRUE(snap[0].active);
-  EXPECT_TRUE(snap[1].active);
-  EXPECT_FALSE(snap[2].active);
-  EXPECT_FALSE(snap[3].active);
   for (const auto& w : snap) EXPECT_GE(w.node, 0);
 }
 

@@ -112,10 +112,13 @@ TEST(ChannelBank, ResetRestoresFreshState) {
 }
 
 TEST(ChannelBank, WorkerCountIsClampedToChannels) {
-  ChannelBank bank(detuned_plans(2), 16);
-  EXPECT_EQ(bank.workers(), 2);
-  bank.set_workers(0);
-  EXPECT_EQ(bank.workers(), 1);
+  ChannelBank wide(detuned_plans(2), 16);
+  EXPECT_EQ(wide.workers(), 2);
+  ASSERT_NE(wide.scheduler(), nullptr);
+  EXPECT_EQ(wide.scheduler()->workers(), 1);  // the caller is the other worker
+  ChannelBank serial(detuned_plans(2), 0);
+  EXPECT_EQ(serial.workers(), 1);
+  EXPECT_EQ(serial.scheduler(), nullptr);
 }
 
 // Channels whose plans decimate at very different rates (the skewed-shard

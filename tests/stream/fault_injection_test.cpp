@@ -705,8 +705,12 @@ TEST_F(FaultInjectionTest, PumpStallShedFreesTheFeedAndMarksTheStream) {
 TEST_F(FaultInjectionTest, OccupancyShedTakesTheLowestWeightSessionFirst) {
   // Trigger B: aggregate queue occupancy over the threshold sheds by
   // weight, lightest first -- the paying (heavy) session's backlog is the
-  // last to go.  kDropOldest victims keep the pump free so the occupancy
-  // trigger (not the pump-stall one) is what fires.
+  // last to go.  The victims are kDropOldest, and the pump-stall trigger
+  // is off, so the occupancy trigger is what fires.  All three sessions
+  // start paused: the pump then parks on the kBlock keeper's full ring,
+  // so the feed cannot end before the first watchdog tick (shedding never
+  // happens after feed end).  The keeper holds a full backlog throughout
+  // and must still never be shed.
   const auto feed = make_feed(2048 * 40);
   EngineOptions opts;
   opts.workers = 2;
@@ -725,10 +729,12 @@ TEST_F(FaultInjectionTest, OccupancyShedTakesTheLowestWeightSessionFirst) {
   auto light = engine.open(figure1_plan(40.0e3), backends::kNative,
                            BackpressurePolicy::kDropOldest);
   light->set_weight(1);
+  keeper->set_paused(true);
   heavy->set_paused(true);
   light->set_paused(true);
   engine.start();
   ASSERT_TRUE(wait_until([&] { return light->stats().shed_events >= 1; }));
+  keeper->set_paused(false);
   heavy->set_paused(false);
   light->set_paused(false);
   auto chunks = drain_all(engine, {keeper, heavy, light});
