@@ -95,15 +95,11 @@ TaskScheduler::TaskScheduler(Options opts) {
   // Node assignments are fixed before any thread (or snapshot reader)
   // exists, so Worker::node stays a plain int.
   const topology::Topology& topo = topology::probe();
-  const bool preferred_ok =
-      opts.preferred_node >= 0 &&
-      static_cast<std::size_t>(opts.preferred_node) < topo.node_count();
   workers_.reserve(static_cast<std::size_t>(threads));
   for (int w = 0; w < threads; ++w) {
     auto worker = std::make_unique<Worker>();
     worker->index = w;
-    worker->node =
-        preferred_ok ? opts.preferred_node : topology::worker_node(w, topo);
+    worker->node = topology::worker_node(w, topo);
     workers_.push_back(std::move(worker));
   }
   for (int w = 0; w < threads; ++w)
@@ -113,8 +109,7 @@ TaskScheduler::TaskScheduler(Options opts) {
 
 TaskScheduler::TaskScheduler(int threads)
     : TaskScheduler(Options{/*threads=*/std::max(1, threads),
-                            /*pin_to_nodes=*/false,
-                            /*preferred_node=*/-1}) {}
+                            /*pin_to_nodes=*/false}) {}
 
 std::vector<TaskScheduler::WorkerSnapshot> TaskScheduler::worker_snapshot()
     const {
@@ -218,20 +213,23 @@ void TaskScheduler::run_node(TaskNode* n) {
   note_activity();
 }
 
-std::size_t TaskScheduler::drain_inbox(Worker& me) {
+TaskScheduler::TaskNode* TaskScheduler::drain_inbox(Worker& me) {
   std::vector<TaskNode*> batch;
   {
     std::lock_guard<std::mutex> lock(me.inbox_mu);
     batch.swap(me.inbox);
     me.inbox_size.store(0, std::memory_order_seq_cst);
   }
-  // Reversed, so the owner's LIFO bottom pops execute the batch in
+  if (batch.empty()) return nullptr;
+  // The head never passes through the deque, so no thief can take it: a
+  // targeted submission to a quiet worker runs on that worker.  The rest go
+  // in reversed, so the owner's LIFO bottom pops execute the batch in
   // submission order -- the batch-cyclic fairness guarantee.
-  for (auto it = batch.rbegin(); it != batch.rend(); ++it)
+  for (auto it = batch.rbegin(); it + 1 != batch.rend(); ++it)
     me.deque.push_bottom(*it);
   if (batch.size() > 1) maybe_wake_sleeper();  // surplus is stealable
-  if (!batch.empty()) note_activity();
-  return batch.size();
+  note_activity();
+  return batch.front();
 }
 
 TaskScheduler::TaskNode* TaskScheduler::try_steal(int self) {
@@ -354,7 +352,10 @@ void TaskScheduler::worker_loop(int w) {
       run(n);
       continue;
     }
-    if (drain_inbox(me) > 0) continue;
+    if (TaskNode* n = drain_inbox(me)) {
+      run(n);
+      continue;
+    }
     if (TaskNode* n = try_steal(w)) {
       run(n);
       continue;

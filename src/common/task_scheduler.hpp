@@ -52,10 +52,6 @@ class TaskScheduler {
     /// (topology::worker_node).  A no-op on single-node machines; workers
     /// record their node id for stats either way.
     bool pin_to_nodes = false;
-    /// Pin every worker to THIS node (kernel list index) instead of
-    /// round-robin -- the sharded-engine case where a whole scheduler
-    /// belongs to one node.  -1 = round-robin across nodes.
-    int preferred_node = -1;
   };
 
   /// Counters for tests and stats_json (monotonic since construction).
@@ -281,9 +277,10 @@ class TaskScheduler {
   /// work is published and after every task retires -- a group completion
   /// happens inside its task, so this doubles as the completion signal.
   void note_activity();
-  /// Moves the whole inbox into the deque (reversed, so bottom pops come
-  /// out FIFO).  Returns the number of tasks moved.
-  std::size_t drain_inbox(Worker& me);
+  /// Takes the whole inbox: returns its head for the caller to run at once
+  /// (nullptr when empty) and moves the rest into the deque (reversed, so
+  /// bottom pops come out FIFO).
+  TaskNode* drain_inbox(Worker& me);
   /// One sweep over the other workers' deque tops.  `self` may be -1 (an
   /// external fork-join waiter).
   TaskNode* try_steal(int self);

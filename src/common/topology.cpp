@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <string>
@@ -10,8 +9,6 @@
 
 #if defined(__linux__)
 #include <sched.h>
-#include <sys/syscall.h>
-#include <unistd.h>
 #endif
 
 namespace twiddc::common {
@@ -128,32 +125,6 @@ bool pin_thread_to_node(int node, const Topology& topo) {
     if (c >= 0 && c < CPU_SETSIZE) CPU_SET(c, &mask);
   return sched_setaffinity(0, sizeof(mask), &mask) == 0;
 #else
-  return false;
-#endif
-}
-
-bool bind_memory_to_node(void* ptr, std::size_t len, int node) {
-#if defined(__linux__) && defined(SYS_mbind)
-  if (ptr == nullptr || len == 0 || node < 0 || node >= 64) return false;
-  const long page_l = sysconf(_SC_PAGESIZE);
-  const std::size_t page = page_l > 0 ? static_cast<std::size_t>(page_l) : 4096;
-  // Align inward: mbind wants page-aligned start, and binding a partial
-  // first/last page would drag neighbouring allocations along.
-  auto addr = reinterpret_cast<std::uintptr_t>(ptr);
-  const std::uintptr_t start = (addr + page - 1) & ~(page - 1);
-  const std::uintptr_t end = (addr + len) & ~(page - 1);
-  if (end <= start) return false;
-  // Local constants instead of <numaif.h> (libnuma-dev is not a dependency).
-  constexpr int kMpolBind = 2;
-  constexpr unsigned kMpolMfMove = 1u << 1;  // migrate touched pages too
-  unsigned long nodemask = 1ul << node;
-  const long rc = syscall(SYS_mbind, start, end - start, kMpolBind, &nodemask,
-                          sizeof(nodemask) * 8 + 1, kMpolMfMove);
-  return rc == 0;
-#else
-  (void)ptr;
-  (void)len;
-  (void)node;
   return false;
 #endif
 }

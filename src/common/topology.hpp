@@ -3,14 +3,12 @@
 // The scheduler and the stream engine want three answers from the machine:
 // how many workers are worth running (default_worker_count), which NUMA
 // node a given worker should live on (worker_node), and how to keep a
-// worker's data on its node (pin_thread_to_node / bind_memory_to_node).
-// Everything here degrades gracefully: on a single-node box -- or any
-// platform where the sysfs probe or the placement syscalls are unavailable
-// -- the probe reports one node holding every allowed CPU and the placement
-// calls become cheap no-ops that return false.  No libnuma dependency: the
-// node map comes from sysfs cpulists intersected with this process's
-// affinity mask, and memory binding is a raw mbind(2) syscall gated on the
-// kernel exposing it.
+// worker on its node (pin_thread_to_node).  Everything here degrades
+// gracefully: on a single-node box -- or any platform where the sysfs probe
+// or the affinity call is unavailable -- the probe reports one node holding
+// every allowed CPU and pinning becomes a cheap no-op that returns false.
+// No libnuma dependency: the node map comes from sysfs cpulists intersected
+// with this process's affinity mask.
 #pragma once
 
 #include <cstddef>
@@ -61,14 +59,6 @@ struct Topology {
 /// topo.nodes).  Returns false -- leaving the affinity untouched -- when
 /// the node is out of range, has no CPUs, or the platform call fails.
 bool pin_thread_to_node(int node, const Topology& topo);
-
-/// Asks the kernel to keep [ptr, ptr+len) on `node` (kernel node id):
-/// MPOL_BIND via the raw mbind syscall, page-aligned inward.  Returns true
-/// only when the syscall succeeded on a non-empty aligned range; single-
-/// node boxes, non-Linux builds and EPERM all just return false.  Safe to
-/// call on any heap buffer -- already-touched pages are migrated
-/// (MPOL_MF_MOVE) on a best-effort basis.
-bool bind_memory_to_node(void* ptr, std::size_t len, int node);
 
 }  // namespace topology
 }  // namespace twiddc::common

@@ -8,7 +8,10 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "src/common/json.hpp"
 
@@ -145,8 +148,9 @@ std::size_t round_up_pow2(std::size_t v) {
 // A thread name set before the thread's ring exists (the common case:
 // workers name themselves at spawn, tracing may be off) is stashed here
 // and registered when the ring is created -- so naming a thread never
-// allocates a ring.
-thread_local std::string* tls_pending_name = nullptr;
+// allocates a ring.  Owned by the thread, so a name never registered is
+// freed at thread exit.
+thread_local std::optional<std::string> tls_pending_name;
 
 Ring& ring_for_this_thread() {
   thread_local std::shared_ptr<Ring> tls_ring = [] {
@@ -154,10 +158,9 @@ Ring& ring_for_this_thread() {
     std::lock_guard<std::mutex> lock(reg.mu);
     auto ring = std::make_shared<Ring>(reg.next_tid++, reg.ring_capacity);
     reg.rings.push_back(ring);
-    if (tls_pending_name != nullptr) {
-      reg.thread_names[ring->tid()] = *tls_pending_name;
-      delete tls_pending_name;
-      tls_pending_name = nullptr;
+    if (tls_pending_name) {
+      reg.thread_names[ring->tid()] = std::move(*tls_pending_name);
+      tls_pending_name.reset();
     }
     return ring;
   }();
@@ -169,7 +172,6 @@ const char* category_name(Category c) {
     case Category::kSched: return "sched";
     case Category::kStream: return "stream";
     case Category::kCache: return "cache";
-    case Category::kGroup: return "group";
   }
   return "?";
 }
@@ -206,7 +208,6 @@ std::uint32_t parse_categories(const std::string& spec) {
     else if (tok == "sched") mask |= bit(Category::kSched);
     else if (tok == "stream") mask |= bit(Category::kStream);
     else if (tok == "cache") mask |= bit(Category::kCache);
-    else if (tok == "group") mask |= bit(Category::kGroup);
     pos = comma + 1;
   }
   return mask;
@@ -230,8 +231,7 @@ void set_thread_name(const std::string& name) {
     // Tracing off: remember the name without paying for a ring.  If this
     // thread later emits (tracing enabled meanwhile), ring creation
     // registers it.
-    delete tls_pending_name;
-    tls_pending_name = new std::string(name);
+    tls_pending_name = name;
     return;
   }
   const std::uint32_t tid = ring_for_this_thread().tid();

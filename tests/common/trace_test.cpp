@@ -177,9 +177,10 @@ TEST_F(TraceFixture, ParseCategoriesSpecs) {
   EXPECT_EQ(parse_categories("sched"), bit(Category::kSched));
   EXPECT_EQ(parse_categories("sched,stream"),
             bit(Category::kSched) | bit(Category::kStream));
-  EXPECT_EQ(parse_categories("cache,group"),
-            bit(Category::kCache) | bit(Category::kGroup));
+  EXPECT_EQ(parse_categories("cache,stream"),
+            bit(Category::kCache) | bit(Category::kStream));
   EXPECT_EQ(parse_categories("bogus"), 0u);  // unknown names ignored
+  EXPECT_EQ(parse_categories("group"), 0u);
   EXPECT_EQ(parse_categories("bogus,stream"), bit(Category::kStream));
 }
 
@@ -241,7 +242,7 @@ TEST_F(TraceFixture, NdjsonExportsOneObjectPerEvent) {
   set_enabled(kAllCategories);
   const std::uint16_t name = intern("nd");
   for (int i = 0; i < 5; ++i)
-    instant(Category::kGroup, name, static_cast<std::uint64_t>(i), 0);
+    instant(Category::kStream, name, static_cast<std::uint64_t>(i), 0);
   const std::string nd = to_ndjson(snapshot());
   std::size_t lines = 0;
   std::size_t pos = 0;

@@ -18,6 +18,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/backends/builtin.hpp"
@@ -111,6 +112,28 @@ bool wait_until(Pred pred, std::chrono::seconds timeout = std::chrono::seconds(3
   }
   return true;
 }
+
+/// Hands out a VectorSource feed, but never more than two blocks ahead of
+/// `pace`'s processed count, so `pace`'s input ring (>= 4 blocks) never
+/// fills and the pump cannot park on it, however the OS schedules its
+/// worker.  Set `pace` before start(); the pump is its only reader.
+class PacedSource final : public Source {
+ public:
+  explicit PacedSource(std::vector<std::int64_t> feed) : inner_(std::move(feed)) {}
+
+  std::size_t read(std::span<std::int64_t> out) override {
+    if (pace)
+      wait_until([this] { return pace->stats().blocks_processed + 2 >= reads_; });
+    ++reads_;
+    return inner_.read(out);
+  }
+
+  std::shared_ptr<Session> pace;
+
+ private:
+  VectorSource inner_;
+  std::uint64_t reads_ = 0;
+};
 
 class FaultInjectionTest : public ::testing::Test {
  protected:
@@ -662,9 +685,15 @@ TEST_F(FaultInjectionTest, PumpStallShedFreesTheFeedAndMarksTheStream) {
   opts.shed_enabled = true;
   opts.shed_pump_stall_ms = 5;
   opts.shed_queue_fraction = 1.0;  // occupancy trigger off: pump-stall only
-  StreamEngine engine(std::make_unique<VectorSource>(feed), opts);
+  // The feed is paced by the keeper, so only the victim can park the pump:
+  // a keeper worker descheduled for more than 5 ms on a loaded host would
+  // otherwise park it too, and be shed by the same (correct) trigger.
+  auto source = std::make_unique<PacedSource>(feed);
+  PacedSource& paced = *source;
+  StreamEngine engine(std::move(source), opts);
   auto keeper = engine.open(figure1_plan(), backends::kNative);
   auto victim = engine.open(figure1_plan(25.0e3), backends::kNative);
+  paced.pace = keeper;
   victim->set_paused(true);
   engine.start();
   ASSERT_TRUE(wait_until([&] { return victim->stats().shed_events >= 1; }));

@@ -209,6 +209,46 @@ TEST_F(StreamEngineTest, QueuedOutputSurvivesStop) {
                one_shot(backends::kNative, figure1_plan(), feed), "post-stop poll");
 }
 
+TEST_F(StreamEngineTest, SessionHandleOutlivesItsEngine) {
+  const auto feed = make_feed(2048 * 8);
+  EngineOptions opts;
+  opts.workers = 2;
+  opts.block_samples = 2048;
+  auto engine = std::make_unique<StreamEngine>(std::make_unique<VectorSource>(feed), opts);
+  auto live = engine->open(figure1_plan(), backends::kNative);
+  // A paused session keeps its input queued, so its poll() has a reason to
+  // nudge the (by then destroyed) engine.
+  auto parked = engine->open(figure1_plan(), backends::kNative,
+                             BackpressurePolicy::kDropOldest);
+  parked->set_paused(true);
+  engine->start();
+  const std::uint64_t n_blocks = (feed.size() + 2047) / 2048;
+  ASSERT_TRUE(wait_until([&] {
+    return engine->feed_exhausted() && live->queued_output_chunks() == n_blocks;
+  }));
+  engine.reset();  // destroyed while running, handles still held
+
+  // Queued output stays pollable.
+  expect_equal(flatten(live->poll()), one_shot(backends::kNative, figure1_plan(), feed),
+               "output polled after the engine is gone");
+  EXPECT_GT(parked->queued_input_blocks(), 0u);
+  EXPECT_TRUE(parked->poll().empty());  // nudges a dead link: a no-op
+
+  // No workers remain, so a retune applies inline on this thread.
+  EXPECT_TRUE(live->retune(figure1_plan(40.0e3), SwapMode::kSplice));
+  EXPECT_EQ(live->stats().retunes_applied, 1u);
+
+  parked->set_paused(false);
+  parked->close();
+  EXPECT_TRUE(parked->closed());
+  EXPECT_EQ(parked->queued_input_blocks(), 0u);
+  live->close();
+  live->close();  // idempotent
+  EXPECT_TRUE(live->closed());
+  EXPECT_TRUE(live->poll().empty());
+  EXPECT_FALSE(live->retune(figure1_plan(), SwapMode::kSplice));
+}
+
 TEST_F(StreamEngineTest, BlockPolicyStallsThePumpAndLosesNothing) {
   const auto feed = make_feed(2048 * 12);
   EngineOptions opts;
