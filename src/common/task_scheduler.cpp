@@ -1,9 +1,9 @@
 #include "src/common/task_scheduler.hpp"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
-#include "src/common/topology.hpp"
 #include "src/common/trace.hpp"
 
 namespace twiddc::common {
@@ -19,111 +19,29 @@ thread_local int tls_worker = -1;
 
 }  // namespace
 
-// ------------------------------------------------------------------ Deque
-
-TaskScheduler::Deque::~Deque() {
-  // Single-threaded by now (workers joined): drain unrun nodes, then free
-  // every array generation.
-  while (TaskNode* n = pop_bottom()) delete n;
-  for (Array* a : retired_) delete a;
-  delete array_.load(std::memory_order_relaxed);
-}
-
-void TaskScheduler::Deque::push_bottom(TaskNode* n) {
-  const std::size_t b = bottom_.load(std::memory_order_relaxed);
-  const std::size_t t = top_.load(std::memory_order_acquire);
-  Array* a = array_.load(std::memory_order_relaxed);
-  if (b - t >= a->capacity) a = grow(a, b, t);
-  a->put(b, n, std::memory_order_release);
-  // seq_cst publish so a thief's (top, bottom) reads and a parking worker's
-  // maybe_nonempty() probe order against the sleeping-flag handshake.
-  bottom_.store(b + 1, std::memory_order_seq_cst);
-}
-
-TaskScheduler::TaskNode* TaskScheduler::Deque::pop_bottom() {
-  const std::size_t b = bottom_.load(std::memory_order_relaxed) - 1;
-  Array* a = array_.load(std::memory_order_relaxed);
-  bottom_.store(b, std::memory_order_seq_cst);  // claim before reading top
-  std::size_t t = top_.load(std::memory_order_seq_cst);
-  if (static_cast<std::ptrdiff_t>(t - b) > 0) {
-    bottom_.store(b + 1, std::memory_order_relaxed);  // empty: undo
-    return nullptr;
-  }
-  TaskNode* n = a->get(b, std::memory_order_relaxed);
-  if (t == b) {
-    // Last element: race the thieves for it.
-    if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                      std::memory_order_relaxed))
-      n = nullptr;  // a thief won
-    bottom_.store(b + 1, std::memory_order_relaxed);
-  }
-  return n;
-}
-
-TaskScheduler::TaskNode* TaskScheduler::Deque::steal_top() {
-  std::size_t t = top_.load(std::memory_order_seq_cst);
-  const std::size_t b = bottom_.load(std::memory_order_seq_cst);
-  if (static_cast<std::ptrdiff_t>(b - t) <= 0) return nullptr;
-  Array* a = array_.load(std::memory_order_acquire);
-  TaskNode* n = a->get(t, std::memory_order_acquire);
-  // top_ only ever grows, so success means we own cell t exclusively.
-  if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                    std::memory_order_relaxed))
-    return nullptr;  // lost to the owner or another thief; caller retries
-  return n;
-}
-
-TaskScheduler::Deque::Array* TaskScheduler::Deque::grow(Array* old,
-                                                        std::size_t bottom,
-                                                        std::size_t top) {
-  Array* bigger = new Array(old->capacity * 2);
-  for (std::size_t i = top; i != bottom; ++i)
-    bigger->put(i, old->get(i, std::memory_order_relaxed),
-                std::memory_order_relaxed);
-  retired_.push_back(old);  // thieves may still hold it; freed in the dtor
-  array_.store(bigger, std::memory_order_release);
-  return bigger;
-}
-
 // -------------------------------------------------------------- lifecycle
 
-TaskScheduler::TaskScheduler(Options opts) {
-  const int threads =
-      std::max(1, opts.threads > 0 ? opts.threads : default_worker_count());
-  pin_to_nodes_ = opts.pin_to_nodes;
-
-  // Node assignments are fixed before any thread (or snapshot reader)
-  // exists, so Worker::node stays a plain int.
-  const topology::Topology& topo = topology::probe();
-  workers_.reserve(static_cast<std::size_t>(threads));
-  for (int w = 0; w < threads; ++w) {
-    auto worker = std::make_unique<Worker>();
-    worker->index = w;
-    worker->node = topology::worker_node(w, topo);
-    workers_.push_back(std::move(worker));
+TaskScheduler::TaskScheduler(int threads) {
+  const int n = std::max(1, threads);
+  // Every slot exists before any thread does: a worker's steal sweep reads
+  // the whole vector.
+  workers_.reserve(static_cast<std::size_t>(n));
+  for (int w = 0; w < n; ++w) {
+    workers_.push_back(std::make_unique<Worker>());
+    workers_.back()->index = w;
   }
-  for (int w = 0; w < threads; ++w)
+  for (int w = 0; w < n; ++w)
     workers_[static_cast<std::size_t>(w)]->thread =
         std::thread([this, w] { worker_loop(w); });
 }
-
-TaskScheduler::TaskScheduler(int threads)
-    : TaskScheduler(Options{/*threads=*/std::max(1, threads),
-                            /*pin_to_nodes=*/false}) {}
 
 std::vector<TaskScheduler::WorkerSnapshot> TaskScheduler::worker_snapshot()
     const {
   std::vector<WorkerSnapshot> out;
   out.reserve(workers_.size());
-  for (const auto& wp : workers_) {
-    const Worker& w = *wp;
-    WorkerSnapshot s;
-    s.queue_depth =
-        w.deque.size_approx() + w.inbox_size.load(std::memory_order_relaxed);
-    s.sleeping = w.sleeping.load(std::memory_order_relaxed);
-    s.node = w.node;
-    out.push_back(s);
-  }
+  for (const auto& w : workers_)
+    out.push_back({w->size.load(std::memory_order_relaxed),
+                   w->sleeping.load(std::memory_order_relaxed)});
   return out;
 }
 
@@ -134,34 +52,34 @@ void TaskScheduler::shutdown() {
     if (w->thread.joinable()) w->thread.join();
 }
 
-TaskScheduler::~TaskScheduler() {
-  shutdown();
-  // Unrun inbox tasks are destroyed here; deques self-drain in ~Deque.
-  // Held under the inbox mutex to narrow (not eliminate -- see the class
-  // contract) the window against an external submit racing destruction.
-  for (auto& w : workers_) {
-    std::lock_guard<std::mutex> lock(w->inbox_mu);
-    for (TaskNode* n : w->inbox) delete n;
-    w->inbox.clear();
-  }
-}
+// Unrun tasks (submitted after their worker's final drain) are destroyed
+// with the queues.
+TaskScheduler::~TaskScheduler() { shutdown(); }
 
 // ------------------------------------------------------------- submission
+
+void TaskScheduler::push(Worker& w, Task t, bool front) {
+  {
+    std::lock_guard<std::mutex> lock(w.mu);
+    if (front)
+      w.queue.push_front(std::move(t));
+    else
+      w.queue.push_back(std::move(t));
+    // seq_cst publish so a parking worker's size probe orders against the
+    // sleeping-flag handshake.
+    w.size.store(w.queue.size(), std::memory_order_seq_cst);
+  }
+  note_activity();
+}
 
 void TaskScheduler::submit_to(int w, Task t) {
   if (stop_.load(std::memory_order_acquire)) return;  // shutting down: drop
   auto& target = *workers_[static_cast<std::size_t>(w) % workers_.size()];
-  auto* node = new TaskNode{std::move(t)};
-  {
-    std::lock_guard<std::mutex> lock(target.inbox_mu);
-    target.inbox.push_back(node);
-    target.inbox_size.store(target.inbox.size(), std::memory_order_seq_cst);
-  }
+  push(target, std::move(t), /*front=*/false);
   wake_worker(target);  // targeted: nobody else is disturbed...
   // ...unless the target is stuck inside a task, in which case the new
-  // inbox entry is stealable and a parked sibling may as well come get it.
+  // entry is stealable and a parked sibling may as well come get it.
   if (target.running.load(std::memory_order_seq_cst)) maybe_wake_sleeper();
-  note_activity();
 }
 
 void TaskScheduler::submit(Task t) {
@@ -177,10 +95,9 @@ void TaskScheduler::submit_local(Task t) {
     submit(std::move(t));
     return;
   }
-  workers_[static_cast<std::size_t>(w)]->deque.push_bottom(
-      new TaskNode{std::move(t)});
+  // The caller is inside a task, so this entry is stealable at once.
+  push(*workers_[static_cast<std::size_t>(w)], std::move(t), /*front=*/true);
   maybe_wake_sleeper();
-  note_activity();
 }
 
 void TaskScheduler::yield(Task t) {
@@ -198,41 +115,40 @@ int TaskScheduler::current_worker_index() const {
 
 // --------------------------------------------------------------- workers
 
-void TaskScheduler::run_node(TaskNode* n) {
+TaskScheduler::Task TaskScheduler::take(Worker& w, bool front, bool gated) {
+  if (w.size.load(std::memory_order_seq_cst) == 0) return {};
+  std::lock_guard<std::mutex> lock(w.mu);
+  if (w.queue.empty()) return {};
+  if (gated && !w.running.load(std::memory_order_seq_cst)) return {};
+  Task t;
+  if (front) {
+    t = std::move(w.queue.front());
+    w.queue.pop_front();
+  } else {
+    t = std::move(w.queue.back());
+    w.queue.pop_back();
+  }
+  w.size.store(w.queue.size(), std::memory_order_seq_cst);
+  return t;
+}
+
+void TaskScheduler::run(Task& t) {
   executed_.fetch_add(1, std::memory_order_relaxed);
-  // Tasks own their error handling (Group::fail, Session::record_failure);
-  // an escape here would otherwise take the whole process down via the
-  // noexcept thread trampoline.
+  // Tasks own their error handling (Group::fail; the stream engine turns
+  // a failed pass into a typed session fault); an escape here would
+  // otherwise take the whole process down via the noexcept thread
+  // trampoline.
   try {
-    n->fn();
+    t();
   } catch (...) {
   }
-  delete n;
+  t = nullptr;
   // After, not during: a completion this task performed is now visible, so
-  // a parked external waiter re-checks done() (and the deques) right away.
+  // a parked external waiter re-checks done() (and the queues) right away.
   note_activity();
 }
 
-TaskScheduler::TaskNode* TaskScheduler::drain_inbox(Worker& me) {
-  std::vector<TaskNode*> batch;
-  {
-    std::lock_guard<std::mutex> lock(me.inbox_mu);
-    batch.swap(me.inbox);
-    me.inbox_size.store(0, std::memory_order_seq_cst);
-  }
-  if (batch.empty()) return nullptr;
-  // The head never passes through the deque, so no thief can take it: a
-  // targeted submission to a quiet worker runs on that worker.  The rest go
-  // in reversed, so the owner's LIFO bottom pops execute the batch in
-  // submission order -- the batch-cyclic fairness guarantee.
-  for (auto it = batch.rbegin(); it + 1 != batch.rend(); ++it)
-    me.deque.push_bottom(*it);
-  if (batch.size() > 1) maybe_wake_sleeper();  // surplus is stealable
-  note_activity();
-  return batch.front();
-}
-
-TaskScheduler::TaskNode* TaskScheduler::try_steal(int self) {
+TaskScheduler::Task TaskScheduler::try_steal(int self) {
   const std::size_t n = workers_.size();
   // Rotate the first victim so concurrent thieves spread out.
   const std::size_t start =
@@ -241,7 +157,11 @@ TaskScheduler::TaskNode* TaskScheduler::try_steal(int self) {
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t v = (start + k) % n;
     if (static_cast<int>(v) == self) continue;
-    if (TaskNode* node = workers_[v]->deque.steal_top()) {
+    // A worker thief leaves a quiet victim's queue to its (already woken)
+    // owner, which keeps targeted submission to a quiet worker
+    // deterministic.  The fork-join caller published its work before
+    // wait() and takes whatever it finds.
+    if (Task t = take(*workers_[v], /*front=*/false, /*gated=*/self >= 0)) {
       stolen_.fetch_add(1, std::memory_order_relaxed);
       if (trace::enabled(kTraceCat)) {
         // arg0 = victim, arg1 = thief + 1 (0 = external fork-join waiter).
@@ -249,48 +169,11 @@ TaskScheduler::TaskNode* TaskScheduler::try_steal(int self) {
         trace::emit(kTraceCat, kName, trace::Phase::kInstant, v,
                     static_cast<std::uint64_t>(self + 1));
       }
-      return node;
+      return t;
     }
-  }
-  // Deques are dry everywhere.
-  // A BUSY victim's inbox is work too: a worker drains its own inbox only
-  // when its deque runs dry, so without this sweep a batch queued behind a
-  // grinding worker (e.g. a second tile chain behind a long one) would be
-  // pinned there while everyone else idles -- the static-shard pathology
-  // this scheduler exists to kill.  Gated on the victim being inside a
-  // task: an idle victim was already woken by its submitter and will drain
-  // the inbox itself momentarily (and the gate keeps targeted submission
-  // to a quiet worker deterministic).  FIFO take, so stealing never
-  // reorders a victim's round.  WORKER thieves only: an external waiter
-  // pulling from an inbox would run yielded actors out of their
-  // batch-cyclic round and break the fairness guarantee -- and the
-  // fork-join pattern it serves publishes all its work before wait(), so
-  // those chains reach the deque (where it may steal) in one drain.
-  if (self < 0) {
-    steal_failures_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t v = (start + k) % n;
-    if (static_cast<int>(v) == self) continue;
-    Worker& victim = *workers_[v];
-    if (!victim.running.load(std::memory_order_seq_cst)) continue;
-    if (victim.inbox_size.load(std::memory_order_seq_cst) == 0) continue;
-    std::lock_guard<std::mutex> lock(victim.inbox_mu);
-    if (victim.inbox.empty()) continue;
-    TaskNode* node = victim.inbox.front();
-    victim.inbox.erase(victim.inbox.begin());
-    victim.inbox_size.store(victim.inbox.size(), std::memory_order_seq_cst);
-    stolen_.fetch_add(1, std::memory_order_relaxed);
-    if (trace::enabled(kTraceCat)) {
-      static const std::uint16_t kName = trace::intern("steal_inbox");
-      trace::emit(kTraceCat, kName, trace::Phase::kInstant, v,
-                  static_cast<std::uint64_t>(self + 1));
-    }
-    return node;
   }
   steal_failures_.fetch_add(1, std::memory_order_relaxed);
-  return nullptr;
+  return {};
 }
 
 void TaskScheduler::wake_worker(Worker& w) {
@@ -325,10 +208,13 @@ void TaskScheduler::note_activity() {
 }
 
 bool TaskScheduler::any_work_visible(const Worker& me) const {
-  if (me.inbox_size.load(std::memory_order_seq_cst) != 0) return true;
+  if (me.size.load(std::memory_order_seq_cst) != 0) return true;
+  // What this worker could steal: running is read before size, and a
+  // victim stores its size before raising running, so a victim seen
+  // running shows the surplus its pop left behind.
   for (const auto& w : workers_)
-    if (w->deque.maybe_nonempty() ||
-        w->inbox_size.load(std::memory_order_seq_cst) != 0)
+    if (w->running.load(std::memory_order_seq_cst) &&
+        w->size.load(std::memory_order_seq_cst) != 0)
       return true;
   return false;
 }
@@ -338,26 +224,17 @@ void TaskScheduler::worker_loop(int w) {
   tls_worker = w;
   trace::set_thread_name("worker" + std::to_string(w));
   Worker& me = *workers_[static_cast<std::size_t>(w)];
-  if (pin_to_nodes_)
-    topology::pin_thread_to_node(me.node, topology::probe());
-  const auto run = [this, &me](TaskNode* n) {
-    // The running window is what lets thieves take this worker's queued
-    // inbox while it is stuck inside a long task.
-    me.running.store(true, std::memory_order_seq_cst);
-    run_node(n);
-    me.running.store(false, std::memory_order_seq_cst);
-  };
   for (;;) {
-    if (TaskNode* n = me.deque.pop_bottom()) {
-      run(n);
-      continue;
-    }
-    if (TaskNode* n = drain_inbox(me)) {
-      run(n);
-      continue;
-    }
-    if (TaskNode* n = try_steal(w)) {
-      run(n);
+    Task t = take(me, /*front=*/true, /*gated=*/false);
+    if (!t) t = try_steal(w);
+    if (t) {
+      // Raised only after the pop, so a targeted task on a quiet worker is
+      // never stolen; while it is up, whatever is left in this queue is
+      // stealable, and a sleeper is woken to come get it.
+      me.running.store(true, std::memory_order_seq_cst);
+      if (me.size.load(std::memory_order_seq_cst) != 0) maybe_wake_sleeper();
+      run(t);
+      me.running.store(false, std::memory_order_seq_cst);
       continue;
     }
     // Park on the private eventcount.  Token first, then the sleeping flag,
@@ -381,17 +258,17 @@ void TaskScheduler::wait(const Group& group) {
   ext_waiters_.fetch_add(1, std::memory_order_seq_cst);
   while (!group.done()) {
     const std::uint32_t token = activity_.load(std::memory_order_seq_cst);
-    if (TaskNode* n = try_steal(-1)) {
-      run_node(n);
+    if (Task t = try_steal(-1)) {
+      run(t);
       continue;
     }
     if (group.done()) break;
     // Parked on the scheduler-wide activity eventcount, not the group:
-    // freshly stealable deque work (a chain link, a drained batch) must
-    // wake this thread too, or the fork-join caller contributes nothing
-    // until a whole chain completes.  Any publish or task retirement
-    // between the token read and here bumps it, so the wait returns
-    // immediately rather than sleeping through the transition.
+    // freshly queued work (a chain link, a new submission) must wake this
+    // thread too, or the fork-join caller contributes nothing until a
+    // whole chain completes.  Any publish or task retirement between the
+    // token read and here bumps it, so the wait returns immediately rather
+    // than sleeping through the transition.
     activity_.wait(token, std::memory_order_seq_cst);
   }
   ext_waiters_.fetch_sub(1, std::memory_order_seq_cst);

@@ -1,29 +1,31 @@
 // twiddc::common -- work-stealing task scheduler.
 //
-// Replaces the broadcast WorkerPool (one published job, one global epoch,
-// notify_all on every block) that PR 4 extracted from core::ChannelBank.
-// The broadcast design made every wakeup global and every scheduling pass
-// O(sessions): fine at bench scale, measurable beyond.  This scheduler is
-// the conservative-asynchronous decomposition instead: per-element work
-// items with local handshakes, no global barrier.
+// The conservative-asynchronous decomposition: per-element work items with
+// local handshakes, no global barrier and no global wakeup.
 //
-//   * one run queue per worker: a Chase-Lev-style deque (owner pushes and
-//     pops at the bottom, any thread steals at the top with a CAS) fed by a
-//     small mutexed inbox for cross-thread submission;
+//   * one run queue per worker: a mutexed std::deque plus an atomic size
+//     mirror for the lock-free park and steal probes.  submit_to, submit
+//     and yield push at the back, submit_local at the front, and the owner
+//     pops from the front.  A queue operation moves one task per session
+//     pass or cache tile, nowhere near the sample hot path, so a lock per
+//     operation costs nothing measurable;
 //   * targeted wakeups: one eventcount per worker; submit_to(w, task) bumps
 //     only worker w -- nobody else leaves their futex;
-//   * work stealing: a worker that runs dry sweeps the other deques top-
-//     first, so skewed task sets (one heavy channel, one hot session)
-//     rebalance instead of stalling a static shard;
-//   * batch-cyclic fairness: a worker drains its inbox only when its deque
-//     is empty, so every task submitted in batch k runs before anything a
-//     batch-k task re-submitted via yield() -- N actors on one worker each
+//   * work stealing: a worker that runs dry takes from the back of a
+//     sibling's queue while that sibling is inside a task, so work queued
+//     behind a grinding worker (one heavy channel, one hot session)
+//     rebalances instead of stalling a static shard.  A quiet worker's
+//     queue is left to its owner, so a targeted task on a quiet worker
+//     runs there;
+//   * batch-cyclic fairness: yield() re-queues at the back and the owner
+//     pops from the front, so every task queued in batch k runs before
+//     anything a batch-k task re-submitted -- N actors on one worker each
 //     make bounded progress per cycle.
 //
 // Two clients, two idioms:
 //   core::ChannelBank   fork-join: submit one chained tile task per channel
-//                       with a Group, then wait(group) -- the caller steals
-//                       and executes alongside the workers;
+//                       with a Group, then wait(group) -- the caller takes
+//                       queued tasks and executes alongside the workers;
 //   stream::StreamEngine actors: each session is scheduled as a task on its
 //                       home worker; a stolen task migrates the session.
 #pragma once
@@ -31,6 +33,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -44,30 +47,19 @@ class TaskScheduler {
  public:
   using Task = std::function<void()>;
 
-  /// The worker count is fixed at construction: each worker is one thread
-  /// that stays in the submit_to routing set until shutdown.
-  struct Options {
-    int threads = 0;  ///< worker count (<= 0 = default_worker_count; >= 1)
-    /// Pin each worker thread to its round-robin NUMA node
-    /// (topology::worker_node).  A no-op on single-node machines; workers
-    /// record their node id for stats either way.
-    bool pin_to_nodes = false;
-  };
-
   /// Counters for tests and stats_json (monotonic since construction).
   struct Stats {
     std::uint64_t executed = 0;  ///< tasks run to completion
-    std::uint64_t stolen = 0;    ///< tasks taken from another queue's top
+    std::uint64_t stolen = 0;    ///< tasks taken from another worker's queue
     std::uint64_t wakeups = 0;   ///< targeted eventcount bumps issued
     std::uint64_t steal_failures = 0;  ///< full steal sweeps that found nothing
   };
 
   /// Per-worker observability snapshot (approximate while work is in
-  /// flight): queue depths plus placement.
+  /// flight).
   struct WorkerSnapshot {
-    std::size_t queue_depth = 0;  ///< deque + inbox entries
+    std::size_t queue_depth = 0;
     bool sleeping = false;
-    int node = 0;  ///< NUMA node this worker is assigned (and maybe pinned) to
   };
 
   /// Fork-join completion tracker.  expect() the task count, have each task
@@ -124,18 +116,17 @@ class TaskScheduler {
     std::shared_ptr<State> state_;
   };
 
-  /// Spawns opts.threads persistent worker threads.
-  explicit TaskScheduler(Options opts);
-  /// Shorthand for Options{threads}: `threads` workers, clamped to >= 1.
+  /// Spawns `threads` persistent worker threads (clamped to >= 1).  Each
+  /// stays in the submit_to routing set until shutdown.
   explicit TaskScheduler(int threads);
   /// Joins the workers.  Shutdown is a drain, not a drop: each worker
-  /// finishes the tasks already visible in its queues before exiting (it
-  /// checks the stop flag only when it runs dry), but submissions that
-  /// arrive after shutdown began are dropped -- so a self-resubmitting
-  /// task terminates, and anything it re-queued late is destroyed unrun.
-  /// Clients that need a completion guarantee must wait() on a Group
-  /// first; clients whose tasks must not do real work during teardown
-  /// must gate them on their own stop flag (StreamEngine does).
+  /// finishes the tasks already visible in its queue (it checks the stop
+  /// flag only when it runs dry), but submissions that arrive after
+  /// shutdown began are dropped -- so a self-resubmitting task terminates,
+  /// and anything it re-queued late is destroyed unrun.  Clients that need
+  /// a completion guarantee must wait() on a Group first; clients whose
+  /// tasks must not do real work during teardown must gate them on their
+  /// own stop flag (StreamEngine does).
   ///
   /// As with any C++ object, EXTERNAL threads must not race submit_to()
   /// against destruction itself -- the in-flight-submission "drop"
@@ -154,35 +145,35 @@ class TaskScheduler {
   /// Worker count (the submit_to routing modulus).
   [[nodiscard]] int workers() const { return static_cast<int>(workers_.size()); }
 
-  /// Approximate per-worker queue depths and placement (index order).
-  /// Lock-free reads; depths race benignly with execution.
+  /// Approximate per-worker queue depths (index order).  Lock-free reads;
+  /// depths race benignly with execution.
   [[nodiscard]] std::vector<WorkerSnapshot> worker_snapshot() const;
 
-  /// Queues `t` on worker `w` (inbox, FIFO against other submissions) and
-  /// wakes only that worker.  Any thread.  After the scheduler started
-  /// shutting down the task is dropped.
+  /// Queues `t` at the back of worker `w`'s queue (FIFO against other
+  /// submissions) and wakes only that worker.  Any thread.  After the
+  /// scheduler started shutting down the task is dropped.
   void submit_to(int w, Task t);
 
   /// submit_to with a rotating target -- distributes unpinned work.
   void submit(Task t);
 
-  /// Pushes `t` on the calling worker's own deque bottom: it runs next on
-  /// this worker (LIFO, cache-hot) unless a thief takes it first.  The
-  /// continuation idiom for chained tasks.  Falls back to submit() when the
-  /// caller is not one of this scheduler's workers.
+  /// Pushes `t` at the front of the calling worker's own queue: it runs
+  /// next on this worker (LIFO, cache-hot) unless a thief takes it first.
+  /// The continuation idiom for chained tasks.  Falls back to submit() when
+  /// the caller is not one of this scheduler's workers.
   void submit_local(Task t);
 
-  /// Re-queues `t` behind every task currently runnable on this worker (own
-  /// inbox): the yield idiom for cooperative actors that exhausted their
-  /// fairness quantum.  Falls back to submit() off-worker.
+  /// Re-queues `t` behind every task currently runnable on this worker:
+  /// the yield idiom for cooperative actors that exhausted their fairness
+  /// quantum.  Falls back to submit() off-worker.
   void yield(Task t);
 
   /// Index of the calling thread within THIS scheduler, or -1.
   [[nodiscard]] int current_worker_index() const;
 
-  /// Blocks until group.done(), stealing and executing queued tasks from
-  /// the workers' deques while it waits (the fork-join caller works too).
-  /// Does not rethrow -- call group.rethrow_if_error() after.
+  /// Blocks until group.done(), taking and executing queued tasks from any
+  /// worker's queue while it waits (the fork-join caller works too).  Does
+  /// not rethrow -- call group.rethrow_if_error() after.
   void wait(const Group& group);
 
   [[nodiscard]] Stats stats() const {
@@ -195,110 +186,47 @@ class TaskScheduler {
   }
 
  private:
-  struct TaskNode {
-    Task fn;
-  };
-
-  /// Chase-Lev-style deque over atomic TaskNode* cells.  The owner pushes
-  /// and pops at the bottom without locks; any thread steals the top with a
-  /// CAS.  top_ is monotonic, so the CAS has no ABA.  Growth reallocates
-  /// the cell array and retires (not frees) the old one: a thief may still
-  /// be reading a stale array, whose cells in [top, bottom) are identical
-  /// by construction.  Retired arrays are freed with the deque.
-  ///
-  /// Memory ordering follows Le/Pop/Cohen/Nardelli ("Correct and Efficient
-  /// Work-Stealing for Weak Memory Models") with the standalone fences
-  /// replaced by seq_cst operations on bottom_/top_ -- stronger than
-  /// required, but TSan models atomics (not fences), and the queues sit
-  /// nowhere near the sample hot path.
-  class Deque {
-   public:
-    Deque() : array_(new Array(64)) {}
-    ~Deque();
-
-    Deque(const Deque&) = delete;
-    Deque& operator=(const Deque&) = delete;
-
-    void push_bottom(TaskNode* n);    // owner only
-    TaskNode* pop_bottom();           // owner only
-    TaskNode* steal_top();            // any thread
-    [[nodiscard]] bool maybe_nonempty() const {
-      const std::size_t b = bottom_.load(std::memory_order_acquire);
-      const std::size_t t = top_.load(std::memory_order_acquire);
-      return static_cast<std::ptrdiff_t>(b - t) > 0;
-    }
-    /// Racy-but-bounded entry count (stats input).
-    [[nodiscard]] std::size_t size_approx() const {
-      const std::size_t b = bottom_.load(std::memory_order_acquire);
-      const std::size_t t = top_.load(std::memory_order_acquire);
-      const auto d = static_cast<std::ptrdiff_t>(b - t);
-      return d > 0 ? static_cast<std::size_t>(d) : 0;
-    }
-
-   private:
-    struct Array {
-      explicit Array(std::size_t cap)
-          : capacity(cap), mask(cap - 1), cells(cap) {}
-      const std::size_t capacity;  // power of two
-      const std::size_t mask;
-      std::vector<std::atomic<TaskNode*>> cells;
-      [[nodiscard]] TaskNode* get(std::size_t i, std::memory_order o) const {
-        return cells[i & mask].load(o);
-      }
-      void put(std::size_t i, TaskNode* n, std::memory_order o) {
-        cells[i & mask].store(n, o);
-      }
-    };
-
-    Array* grow(Array* old, std::size_t bottom, std::size_t top);
-
-    alignas(64) std::atomic<std::size_t> top_{0};
-    alignas(64) std::atomic<std::size_t> bottom_{0};
-    std::atomic<Array*> array_;
-    std::vector<Array*> retired_;  // owner-only; freed in the destructor
-  };
-
   struct Worker {
-    Deque deque;
-    std::mutex inbox_mu;
-    std::vector<TaskNode*> inbox;          // guarded by inbox_mu
-    std::atomic<std::size_t> inbox_size{0};  // cheap empty probe
+    std::mutex mu;
+    std::deque<Task> queue;               // guarded by mu
+    std::atomic<std::size_t> size{0};     // queue.size() mirror for probes
     alignas(64) std::atomic<std::uint32_t> wake{0};  // per-worker eventcount
     std::atomic<bool> sleeping{false};
-    std::atomic<bool> running{false};  ///< inside a task (inbox-steal gate)
+    std::atomic<bool> running{false};  ///< inside a task (the steal gate)
     int index = 0;  ///< slot index (set before the thread spawns; immutable)
-    int node = 0;  ///< NUMA node (set before the thread spawns; immutable)
     std::thread thread;
   };
 
   void worker_loop(int w);
-  void run_node(TaskNode* n);
-  /// Wakes parked external wait()ers (if any): called whenever stealable
-  /// work is published and after every task retires -- a group completion
-  /// happens inside its task, so this doubles as the completion signal.
+  /// Queues `t` on `w` (front or back) and publishes it to waiters.
+  void push(Worker& w, Task t, bool front);
+  /// Takes one task off `w`: its front for the owner, its back for a thief.
+  /// `gated` thieves take only while `w` is inside a task.  Empty when
+  /// there is nothing to take.
+  Task take(Worker& w, bool front, bool gated);
+  void run(Task& t);
+  /// Wakes parked external wait()ers (if any): called whenever work is
+  /// published and after every task retires -- a group completion happens
+  /// inside its task, so this doubles as the completion signal.
   void note_activity();
-  /// Takes the whole inbox: returns its head for the caller to run at once
-  /// (nullptr when empty) and moves the rest into the deque (reversed, so
-  /// bottom pops come out FIFO).
-  TaskNode* drain_inbox(Worker& me);
-  /// One sweep over the other workers' deque tops.  `self` may be -1 (an
-  /// external fork-join waiter).
-  TaskNode* try_steal(int self);
+  /// One sweep over the other workers' queues.  `self` may be -1 (an
+  /// external fork-join waiter, which may take from any queue).
+  Task try_steal(int self);
   void wake_worker(Worker& w);
-  /// If anyone is parked, wake one sleeper so freshly stealable deque work
-  /// (a chain push, a drained batch) is not serialised on its owner.
+  /// If anyone is parked, wake one sleeper so freshly stealable work (a
+  /// chain push, the surplus behind a popped task) is not serialised on
+  /// its owner.
   void maybe_wake_sleeper();
   [[nodiscard]] bool any_work_visible(const Worker& me) const;
 
   std::vector<std::unique_ptr<Worker>> workers_;  ///< fixed at construction
-  bool pin_to_nodes_ = false;
   std::atomic<std::uint32_t> round_robin_{0};
   std::atomic<bool> stop_{false};
   std::atomic<int> sleepers_{0};
   /// Eventcount external fork-join waiters park on; bumped by
   /// note_activity() only while ext_waiters_ says someone is parked, so a
-  /// waiter sleeping through freshly stealable deque work (which the
-  /// per-worker wakeups cannot reach) is impossible.
+  /// waiter sleeping through freshly queued work (which the per-worker
+  /// wakeups cannot reach) is impossible.
   std::atomic<std::uint32_t> activity_{0};
   std::atomic<int> ext_waiters_{0};
   std::atomic<std::uint64_t> executed_{0};

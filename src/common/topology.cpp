@@ -88,13 +88,13 @@ Topology probe_uncached() {
     for (const int c : parse_cpulist(line))
       if (std::binary_search(allowed.begin(), allowed.end(), c))
         node.cpus.push_back(c);
-    // Memory-only nodes (no allowed CPUs) are not worker homes; skip them.
+    // Memory-only nodes (no allowed CPUs) have nothing to report; skip them.
     if (!node.cpus.empty()) topo.nodes.push_back(std::move(node));
   }
 #endif
   if (topo.nodes.empty()) {
     // Single-node fallback: everything the process may run on lives on one
-    // logical node 0 -- the shape every placement decision degrades to.
+    // logical node 0.
     Node node;
     node.id = 0;
     node.cpus = allowed;
@@ -106,27 +106,6 @@ Topology probe_uncached() {
 const Topology& probe() {
   static const Topology topo = probe_uncached();
   return topo;
-}
-
-int worker_node(int w, const Topology& topo) {
-  const std::size_t n = topo.node_count();
-  if (n <= 1 || w < 0) return 0;
-  return static_cast<int>(static_cast<std::size_t>(w) % n);
-}
-
-bool pin_thread_to_node(int node, const Topology& topo) {
-  if (node < 0 || static_cast<std::size_t>(node) >= topo.node_count()) return false;
-  const std::vector<int>& cpus = topo.nodes[static_cast<std::size_t>(node)].cpus;
-  if (cpus.empty()) return false;
-#if defined(__linux__)
-  cpu_set_t mask;
-  CPU_ZERO(&mask);
-  for (const int c : cpus)
-    if (c >= 0 && c < CPU_SETSIZE) CPU_SET(c, &mask);
-  return sched_setaffinity(0, sizeof(mask), &mask) == 0;
-#else
-  return false;
-#endif
 }
 
 }  // namespace topology

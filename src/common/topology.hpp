@@ -1,14 +1,12 @@
-// twiddc::common -- machine-topology probe for worker and memory placement.
+// twiddc::common -- machine-topology probe.
 //
-// The scheduler and the stream engine want three answers from the machine:
-// how many workers are worth running (default_worker_count), which NUMA
-// node a given worker should live on (worker_node), and how to keep a
-// worker on its node (pin_thread_to_node).  Everything here degrades
-// gracefully: on a single-node box -- or any platform where the sysfs probe
-// or the affinity call is unavailable -- the probe reports one node holding
-// every allowed CPU and pinning becomes a cheap no-op that returns false.
-// No libnuma dependency: the node map comes from sysfs cpulists intersected
-// with this process's affinity mask.
+// Two answers from the machine: how many workers are worth running
+// (default_worker_count), and which NUMA nodes hold the CPUs this process
+// may run on (probe) -- reported, not acted on: no worker is pinned and no
+// memory is bound.  The probe degrades gracefully: on a single-node box --
+// or any platform where the sysfs probe is unavailable -- it reports one
+// node holding every allowed CPU.  No libnuma dependency: the node map
+// comes from sysfs cpulists intersected with this process's affinity mask.
 #pragma once
 
 #include <cstddef>
@@ -47,18 +45,6 @@ struct Topology {
 
 /// A fresh probe (tests; callers that changed their affinity mask).
 [[nodiscard]] Topology probe_uncached();
-
-/// Node assignment for worker `w`: nodes are filled round-robin so any
-/// contiguous block of workers spreads evenly.  Pure -- the scheduler's
-/// pinning and the engine's memory placement call this with the same
-/// arguments and agree.  Returns the node LIST INDEX (0..node_count-1),
-/// which equals the kernel id on the common dense numbering.
-[[nodiscard]] int worker_node(int w, const Topology& topo);
-
-/// Pins the calling thread to the CPUs of `node` (list index into
-/// topo.nodes).  Returns false -- leaving the affinity untouched -- when
-/// the node is out of range, has no CPUs, or the platform call fails.
-bool pin_thread_to_node(int node, const Topology& topo);
 
 }  // namespace topology
 }  // namespace twiddc::common

@@ -12,7 +12,7 @@ namespace twiddc::core {
 namespace {
 // Units are advanced tile by tile so the shared input stays cache-resident
 // while every unit walks it, and a tile is also the stealable unit: between
-// tiles a unit's continuation sits in a scheduler deque where an idle
+// tiles a unit's continuation sits in a scheduler run queue where an idle
 // worker can claim it.  Executors are streaming-composable, so tiling is
 // bit-exact with one monolithic call.
 constexpr std::size_t kTileSamples = 8192;
@@ -26,15 +26,7 @@ ChannelBank::ChannelBank(const std::vector<ChainPlan>& plans, int workers) {
   workers_ = std::clamp(workers, 1, static_cast<int>(channels_.size()));
   // The scheduler holds workers_-1 threads; the calling thread participates
   // in every process_block via the fork-join steal loop.
-  if (workers_ > 1) {
-    common::TaskScheduler::Options opts;
-    opts.threads = workers_ - 1;
-    // Spread the fork-join pool across NUMA nodes (a no-op on one-node
-    // boxes): a stolen tile runs on the node its thief's deque lives on,
-    // and the thief's scratch stays node-local.
-    opts.pin_to_nodes = true;
-    sched_ = std::make_unique<common::TaskScheduler>(opts);
-  }
+  if (workers_ > 1) sched_ = std::make_unique<common::TaskScheduler>(workers_ - 1);
 }
 
 ChannelBank::~ChannelBank() = default;
@@ -112,7 +104,7 @@ void ChannelBank::run_tile_chain(std::span<const std::int64_t> in,
         });
         return;
       }
-      // The fork-join caller has no deque; it keeps the chain inline.
+      // The fork-join caller has no queue; it keeps the chain inline.
     }
   } catch (...) {
     group.fail(std::current_exception());
@@ -138,8 +130,8 @@ void ChannelBank::process_block(std::span<const std::int64_t> in,
     return;
   }
 
-  // One tile chain per unit, spread round-robin over the worker inboxes;
-  // the caller joins through wait(), stealing and executing chains
+  // One tile chain per unit, spread round-robin over the worker queues;
+  // the caller joins through wait(), taking and executing chains
   // alongside the pool.  Units touch disjoint channels and output vectors,
   // so any steal-driven interleaving is bit-exact with serial execution;
   // the only shared read is `in`.

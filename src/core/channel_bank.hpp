@@ -25,7 +25,7 @@
 //     persistent common::TaskScheduler (workers-1 threads; the calling
 //     thread steals and executes alongside them).  A unit's tiles run in
 //     order -- channels are sequential state machines -- but between tiles
-//     the continuation sits in a work-stealing deque, so skewed plans
+//     the continuation sits in a worker's run queue, so skewed plans
 //     (channels with very different decimations) rebalance onto idle
 //     workers instead of stalling a static shard at the block barrier.
 //     Units are fully independent, so any interleaving is bit-exact with
@@ -104,7 +104,7 @@ class ChannelBank {
                 std::vector<std::vector<IqSample>>& out);
   /// One link of a unit's tile chain: advances the unit through the tile at
   /// `offset`, then either re-submits itself (on a scheduler worker: the
-  /// continuation lands in the deque, where a thief can take it) or keeps
+  /// continuation lands in its run queue, where a thief can take it) or keeps
   /// looping inline (the fork-join caller).  Completes / fails `group`
   /// exactly once, at the unit's last tile.
   void run_tile_chain(std::span<const std::int64_t> in,

@@ -88,9 +88,7 @@ void StreamEngine::start() {
   std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
   if (running_.load(std::memory_order_acquire))
     throw SimulationError("StreamEngine: start() while already running");
-  common::TaskScheduler::Options sched_opts;
-  sched_opts.threads = options_.workers;
-  sched_ = std::make_unique<common::TaskScheduler>(sched_opts);
+  sched_ = std::make_unique<common::TaskScheduler>(options_.workers);
   stop_.store(false, std::memory_order_release);
   // run_start_time_ is non-atomic: publish it BEFORE the running_ release
   // store so a stats_json() that acquire-reads running_ == true sees it.
@@ -395,10 +393,9 @@ bool StreamEngine::enqueue(Session& s, const FeedBlock& block) {
   s.stats_.samples_enqueued.fetch_add(block.samples->size(),
                                       std::memory_order_relaxed);
   s.note_queue_depth(s.in_ring_.size());
-  // The targeted wakeup: schedule THIS session on its home worker.  The
-  // old WorkerPool design bumped a global epoch and notify_all()ed every
-  // worker per block; now only the one worker that owns this session gets
-  // touched, and only when the session is not already queued or marked.
+  // The targeted wakeup: schedule THIS session on its home worker.  Only
+  // the one worker that owns this session gets touched, and only when the
+  // session is not already queued or marked.
   // Paused sessions are left alone (set_paused(false) re-schedules).
   if (!s.paused()) schedule_session(s);
   return true;
@@ -907,15 +904,14 @@ std::string StreamEngine::stats_json() const {
       .field("entries", cache.entries)
       .field("capacity", cache.capacity);
   // Per-worker detail rides as its own array (one object per scheduler
-  // worker): queue depth, and the worker's NUMA node assignment.
+  // worker): queue depth and whether it is parked.
   std::vector<JsonLine> workers_detail;
   workers_detail.reserve(wsnap.size());
   for (std::size_t i = 0; i < wsnap.size(); ++i) {
     JsonLine w;
     w.field("worker", i)
         .field("queue_depth", wsnap[i].queue_depth)
-        .field("sleeping", wsnap[i].sleeping)
-        .field("node", static_cast<double>(wsnap[i].node));
+        .field("sleeping", wsnap[i].sleeping);
     workers_detail.push_back(std::move(w));
   }
   // Latency distributions: nanosecond samples, reported in milliseconds.

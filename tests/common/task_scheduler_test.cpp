@@ -1,5 +1,5 @@
 // TaskScheduler: per-worker run queues, targeted submission, work stealing
-// off a busy worker's deque, batch-cyclic yield fairness, and fork-join
+// off a busy worker's queue, batch-cyclic yield fairness, and fork-join
 // group semantics (completion + exception propagation).  Runs under TSan in
 // CI alongside the stream suite.
 #include "src/common/task_scheduler.hpp"
@@ -15,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/common/topology.hpp"
 
 namespace twiddc::common {
 namespace {
@@ -59,7 +58,7 @@ TEST(TaskScheduler, TargetedSubmissionRunsOnTheTargetWorker) {
   EXPECT_EQ(sched.current_worker_index(), -1);  // this thread is no worker
 }
 
-TEST(TaskScheduler, IdleWorkerStealsFromABusyWorkersDeque) {
+TEST(TaskScheduler, IdleWorkerStealsFromABusyWorkersQueue) {
   TaskScheduler sched(2);
   TaskScheduler::Group group;
   std::atomic<int> done{0};
@@ -67,8 +66,8 @@ TEST(TaskScheduler, IdleWorkerStealsFromABusyWorkersDeque) {
   constexpr int kChained = 6;
   group.expect(1);
   // The worker that claims this task parks inside it after pushing chained
-  // work onto its OWN deque; only another executor can run those, and only
-  // by stealing the deque top.
+  // work onto its OWN queue; only another executor can run those, and only
+  // by stealing them.
   sched.submit_to(0, [&sched, &done, &started, group] {
     started.store(true, std::memory_order_release);
     for (int i = 0; i < kChained; ++i)
@@ -79,7 +78,7 @@ TEST(TaskScheduler, IdleWorkerStealsFromABusyWorkersDeque) {
   });
   // Hold this thread back until a WORKER has claimed the blocker -- if the
   // fork-join waiter below stole it first, it would run here, off-worker,
-  // and submit_local would fall back to inbox submission (no steal needed).
+  // and submit_local would fall back to submit() (no steal needed).
   while (!started.load(std::memory_order_acquire))
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   sched.wait(group);
@@ -88,9 +87,51 @@ TEST(TaskScheduler, IdleWorkerStealsFromABusyWorkersDeque) {
   EXPECT_GE(sched.stats().stolen, static_cast<std::uint64_t>(kChained));
 }
 
+TEST(TaskScheduler, QueuedSubmissionsBehindABlockedWorkerAreStolen) {
+  TaskScheduler sched(2);
+  std::atomic<int> blocker_on{-1};
+  std::atomic<bool> release{false};
+  // Worker 0 is quiet, so the targeted blocker runs there and parks inside.
+  sched.submit_to(0, [&sched, &blocker_on, &release] {
+    blocker_on.store(sched.current_worker_index(), std::memory_order_release);
+    while (!release.load(std::memory_order_acquire))
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (blocker_on.load(std::memory_order_acquire) < 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(blocker_on.load(), 0);
+
+  // Queued behind the blocker, these can only run if worker 1 steals them.
+  constexpr int kQueued = 4;
+  std::mutex mu;
+  std::vector<int> ran_on;  // guarded by mu
+  for (int i = 0; i < kQueued; ++i)
+    sched.submit_to(0, [&sched, &mu, &ran_on] {
+      std::lock_guard<std::mutex> lock(mu);
+      ran_on.push_back(sched.current_worker_index());
+    });
+  // Observe passively (no sched.wait): a fork-join waiter could take the
+  // queued tasks itself.
+  const auto ran = [&mu, &ran_on] {
+    std::lock_guard<std::mutex> lock(mu);
+    return ran_on.size();
+  };
+  while (ran() < static_cast<std::size_t>(kQueued) &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(ran_on, std::vector<int>(kQueued, 1));
+  }
+  EXPECT_GE(sched.stats().stolen, static_cast<std::uint64_t>(kQueued));
+  release.store(true, std::memory_order_release);
+}
+
 TEST(TaskScheduler, YieldingActorsAlternateBatchCyclically) {
   // Two cooperative actors on ONE worker, each yield()ing between slices:
-  // the batch-cyclic inbox discipline must interleave them instead of
+  // the batch-cyclic queue discipline must interleave them instead of
   // letting the re-submitted actor monopolise the queue.
   TaskScheduler sched(1);
   TaskScheduler::Group group;
@@ -118,7 +159,7 @@ TEST(TaskScheduler, YieldingActorsAlternateBatchCyclically) {
     }
   };
   // A starter task enrolls both actors from inside the worker, so they
-  // land in one inbox batch deterministically (no startup race where the
+  // land in one batch deterministically (no startup race where the
   // worker drains one before the other is submitted).
   sched.submit_to(0, [&sched, &mu, &order, group] {
     sched.yield([&sched, &mu, &order, group] {
@@ -164,7 +205,7 @@ TEST(TaskScheduler, GroupPropagatesTheFirstException) {
 }
 
 TEST(TaskScheduler, ExternalWaiterHelpsExecuteChainedWork) {
-  // A chain that keeps re-submitting to a single worker's deque while the
+  // A chain that keeps re-submitting to a single worker's queue while the
   // fork-join caller waits: the caller's steal loop must be able to help
   // (and at minimum the chain must complete promptly).
   TaskScheduler sched(1);
@@ -192,7 +233,7 @@ TEST(TaskScheduler, ExternalWaiterHelpsExecuteChainedWork) {
 
 TEST(TaskScheduler, ManyProducersManyTasksUnderChurn) {
   // Stress: 4 client threads firehose targeted and untargeted tasks at a
-  // 3-worker scheduler (TSan coverage for inbox, deque, steal, sleep).
+  // 3-worker scheduler (TSan coverage for the queues, steal, sleep).
   // Targets span [0, 7): submit_to routes modulo workers(), so targets at
   // or past the worker count must still land on a live worker.
   TaskScheduler sched(3);
@@ -231,29 +272,31 @@ TEST(TaskScheduler, ManyProducersManyTasksUnderChurn) {
 }
 
 TEST(TaskScheduler, OptionsClampBoundsAndCompatCtorIsFixedSize) {
-  TaskScheduler::Options opts;
-  opts.threads = 2;
-  TaskScheduler sched(opts);
-  EXPECT_EQ(sched.workers(), 2);
-
-  // Options resolves <= 0 to default_worker_count(), never below one.
-  opts.threads = -3;
-  TaskScheduler defaulted(opts);
-  EXPECT_EQ(defaulted.workers(), std::max(1, default_worker_count()));
-
+  // The worker count is the one constructor argument, clamped to >= 1.
   TaskScheduler fixed(3);
   EXPECT_EQ(fixed.workers(), 3);
-  TaskScheduler floored(0);  // the int ctor clamps to >= 1
+  TaskScheduler floored(0);
   EXPECT_EQ(floored.workers(), 1);
+  TaskScheduler negative(-3);
+  EXPECT_EQ(negative.workers(), 1);
 }
 
 TEST(TaskScheduler, WorkerSnapshotCoversEverySlot) {
-  TaskScheduler::Options opts;
-  opts.threads = 4;
-  TaskScheduler sched(opts);
+  TaskScheduler sched(4);
   const auto snap = sched.worker_snapshot();
   ASSERT_EQ(snap.size(), 4u);
-  for (const auto& w : snap) EXPECT_GE(w.node, 0);
+  // Nothing was submitted: every queue is empty.
+  for (const auto& w : snap) EXPECT_EQ(w.queue_depth, 0u);
+  // Workers park once they find no work.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  auto parked = [&sched] {
+    const auto s = sched.worker_snapshot();
+    return std::all_of(s.begin(), s.end(),
+                       [](const TaskScheduler::WorkerSnapshot& w) { return w.sleeping; });
+  };
+  while (!parked() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_TRUE(parked());
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
-// Topology probe: NUMA node discovery with the single-node fallback, the
-// worker -> node assignment helper, best-effort pinning, and the
-// TWIDDC_WORKERS override.  Everything here must pass identically on a
+// Topology probe: NUMA node discovery with the single-node fallback, and
+// the TWIDDC_WORKERS override.  Everything here must pass identically on a
 // one-core container and a multi-socket box -- the probe's graceful
 // degradation IS the contract under test.
 #include "src/common/topology.hpp"
@@ -8,8 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <thread>
-#include <vector>
 
 namespace twiddc::common {
 namespace {
@@ -25,29 +22,6 @@ TEST(Topology, ProbeFindsAtLeastOneNodeWithCpus) {
   }
   EXPECT_EQ(t.cpu_count(), cpus);
   EXPECT_GE(cpus, 1u);
-}
-
-TEST(Topology, WorkerNodeAssignmentStaysInRange) {
-  const topology::Topology& t = topology::probe();
-  for (int w = 0; w < 64; ++w) {
-    const int idx = topology::worker_node(w, t);
-    ASSERT_GE(idx, 0);
-    ASSERT_LT(static_cast<std::size_t>(idx), t.node_count());
-  }
-  // Round-robin: consecutive workers spread over all nodes before reusing.
-  if (t.node_count() > 1)
-    EXPECT_NE(topology::worker_node(0, t), topology::worker_node(1, t));
-}
-
-TEST(Topology, PinIsBestEffortNotFatal) {
-  const topology::Topology& t = topology::probe();
-  // Pin from a scratch thread so this test thread's affinity is untouched.
-  std::thread([&t] {
-    topology::pin_thread_to_node(0, t);  // return value is advisory
-  }).join();
-  // Out-of-range nodes are rejected, never passed to the kernel.
-  EXPECT_FALSE(topology::pin_thread_to_node(-1, t));
-  EXPECT_FALSE(topology::pin_thread_to_node(static_cast<int>(t.node_count()), t));
 }
 
 TEST(Topology, DefaultWorkerCountHonoursEnvOverride) {

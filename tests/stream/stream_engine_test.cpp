@@ -702,6 +702,12 @@ TEST_F(StreamEngineTest, StatsJsonDescribesEverySession) {
        at = live.find("\"queue_depth\"", at + 1))
     ++detail_entries;
   EXPECT_EQ(detail_entries, 3u);
+  std::size_t sleeping_entries = 0;
+  for (std::size_t at = live.find("\"sleeping\""); at != std::string::npos;
+       at = live.find("\"sleeping\"", at + 1))
+    ++sleeping_entries;
+  EXPECT_EQ(sleeping_entries, 3u);
+  EXPECT_EQ(live.find("\"node\""), std::string::npos);  // no NUMA placement
   auto chunks = drain_all(engine, {dropper});
   (void)chunks;
   engine.stop();
