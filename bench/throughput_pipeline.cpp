@@ -1,55 +1,37 @@
-// Pipeline hot-path throughput: block-based process_block() vs per-sample
-// push() on the paper's Figure 1 chain (and the GC4016 Figure 4 channel),
-// per-kernel block rates (the SIMD-shim kernels NCO/mixer and polyphase
-// FIR, plus the unrolled-cascade CIC kernel, which is scalar by nature),
-// and multi-channel ChannelBank batch scaling -- emitted as machine-
-// readable JSON lines so successive PRs can track the performance
-// trajectory.  The "simd" field records the build's compiled ISA path; for
-// the cic2/cic5 lines it identifies the build, not a vector kernel.
+// Pipeline hot-path throughput of the kernels and the core executor,
+// emitted as machine-readable JSON lines (one object per line, "#" comment
+// lines aside) so successive changes can track the trajectory.  Serving
+// through the stream layer is measured by perfbench (fanout256), not here.
 //
-// Output format (one JSON object per line, prefixed section aside):
-//   {"bench": "throughput_pipeline", "chain": "figure1:wide16",
-//    "push_msamples_per_s": ..., "block_msamples_per_s": ...,
-//    "speedup_block_over_push": ..., "block_samples": ..., "simd": "avx2"}
-//   {"bench": "throughput_pipeline", "kernel": "cic2", ...}
-//   {"bench": "throughput_pipeline", "chain": "channel_bank:figure1",
-//    "channels": 8, "workers": 2, "aggregate_msamples_per_s": ...,
-//    "scaling_vs_single": ...}
-//   {"bench": "throughput_pipeline", "chain": "stream_engine:figure1",
-//    "sessions": 16, "workers": 4, "aggregate_msamples_per_s": ...,
-//    "scaling_vs_single": ...}
-// Keys are stable and additive across PRs; "kernel" and "channels" lines are
-// new in PR 2, "sessions" lines (end-to-end streaming-engine serving rate per
-// concurrent-session count) are new in PR 4, "chain" lines keep the PR 1
-// schema plus the "simd" tag.  PR 6 adds "figure1:fused_vs_staged" (plan
-// compiler's fused tile executor vs the staged pipeline, bit-exactness
-// asserted inline) and "plan_cache" (compile-time amortisation: 64 sessions
-// sharing one config vs 64 distinct configs).  PR 7 adds
-// "stream_engine:overload" (survivor p99 inter-chunk gap at 2x
-// oversubscription, one line with "shed": false and one with "shed": true --
-// the graceful-degradation headline).  PR 8 adds "stream_engine:saturation"
-// (aggregate serving rate + p99 inter-chunk gap at 64..4096 sessions on
-// one engine -- the scale-out headline) and the
-// "workers_effective" field (the resolved count, where TWIDDC_WORKERS lands).
-// PR 10 adds "figure1:packed_fir" (cross-channel packed kernels vs
-// monolithic per-channel chains at 64 channels, one line per kernel tier)
-// and "figure1:da_vs_mac" (the distributed-arithmetic FIR model vs the MAC
-// kernel, bit-exact, with the energy model's multiplier-vs-ROM numbers),
-// and every line is teed through benchutil::emit, so --out FILE /
-// TWIDDC_BENCH_OUT appends BENCH_<name>.json records for the trajectory.
+//   "chain": "figure1:wide16" / "figure1:fpga" / "gc4016:figure4"
+//       block process_block() vs per-sample push():
+//       {"push_msamples_per_s": ..., "block_msamples_per_s": ...,
+//        "speedup_block_over_push": ..., "block_samples": ...}
+//   "chain": "figure1:fused_vs_staged"
+//       FusedChainExec vs the staged DdcPipeline, bit-exactness asserted.
+//   "chain": "figure1:packed_fir"
+//       packed lane groups vs one-lane executors at 64 channels, one line
+//       per kernel tier, bit-exactness asserted.
+//   "chain": "plan_cache"
+//       64 sessions sharing one config (1 compile, 63 hits) vs 64 distinct.
+//   "kernel": "nco_mixer" / "cic2" / "cic5" / "fir125_polyphase"
+//       per-kernel block rates.
+//   "backend": <name>
+//       each registered backend's own lowering of the reference plan.
+//   "chain": "channel_bank:figure1" / "channel_bank:skewed"
+//       multi-channel aggregate (channel-samples/s) and its scaling.
+//
+// The "simd" field records the build's compiled ISA path; for the cic2/cic5
+// lines it identifies the build, not a vector kernel.  Every line is teed
+// through benchutil::emit, so --out FILE / TWIDDC_BENCH_OUT appends
+// BENCH_<name>.json records.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
-
-#include "src/common/trace.hpp"
-#include "src/stream/engine.hpp"
-#include "src/stream/sink.hpp"
-#include "src/stream/source.hpp"
 
 #include "bench/bench_util.hpp"
 #include "src/asic/gc4016.hpp"
@@ -61,9 +43,7 @@
 #include "src/core/float_ddc.hpp"
 #include "src/core/plan_compiler.hpp"
 #include "src/dsp/cic.hpp"
-#include "src/dsp/da_fir.hpp"
 #include "src/dsp/fir.hpp"
-#include "src/energy/da_model.hpp"
 #include "src/dsp/fir_design.hpp"
 #include "src/dsp/mixer.hpp"
 #include "src/dsp/nco.hpp"
@@ -170,99 +150,6 @@ void bench_fused_vs_staged() {
       .field("block_samples", input.size())
       .field("simd", twiddc::simd::isa_name());
   twiddc::benchutil::emit("figure1:fused_vs_staged", j);
-}
-
-// ----------------------------------------------------------- DA vs MAC FIR
-
-// Distributed arithmetic as a hardware model, measured at the kernel level:
-// the Figure-1 FIR stage's real input windows (the CIC5 output of a staged
-// run, captured through an observation tap) evaluated by the bit-serial
-// dsp::DaFirEngine and by the simd::dot_i64 MAC kernel.  Bit-exactness is
-// asserted inline over every window: DA == MAC, and the conditioned MAC dots
-// equal the staged FIR stage's outputs.  Software throughput favours MAC --
-// the line keeps the DA model honest in the trajectory -- while the energy
-// model's numbers carry the hardware trade: zero multipliers vs ROM bits and
-// W lookups per output (arXiv:1403.4554 direction).  Rates count FIR-stage
-// input samples.
-//   {"bench": "throughput_pipeline", "chain": "figure1:da_vs_mac",
-//    "mac_msamples_per_s": ..., "da_msamples_per_s": ..., "bit_exact": true,
-//    "da_stages": 1, "mac_multipliers": ..., "da_table_bits": ..., ...}
-
-void bench_da_vs_mac() {
-  const auto cfg = DdcConfig::reference(10.0e6);
-  const auto plan = ChainPlan::figure1(cfg, DatapathSpec::wide16());
-  const auto input = figure1_stimulus(cfg, kBlock);
-  const std::size_t fir = plan.stages.size() - 1;
-  const twiddc::core::StageSpec& st = plan.stages[fir];
-
-  // [zero delay line | the FIR stage's input stream], and its outputs.
-  std::vector<std::int64_t> window(st.taps.size() - 1, 0);
-  std::vector<std::int64_t> staged_out;
-  twiddc::core::DdcPipeline staged(plan);
-  staged.rail(0).set_tap(fir - 1, &window);
-  staged.rail(0).set_tap(fir, &staged_out);
-  std::vector<IqSample> sink;
-  staged.process_block(input, sink);
-  const std::size_t fir_in = window.size() - (st.taps.size() - 1);
-
-  const auto costs = twiddc::energy::plan_fir_costs(plan);
-  const std::vector<std::int64_t> rev(st.taps.rbegin(), st.taps.rend());
-  const twiddc::dsp::DaFirEngine da(std::make_shared<const std::vector<std::int64_t>>(
-                                        twiddc::dsp::DaFirEngine::build_tables(rev)),
-                                    rev.size(), costs.back().input_bits);
-  const bool narrow_ok = twiddc::simd::all_fit_i32(rev.data(), rev.size()) &&
-                         twiddc::simd::all_fit_i32(window.data(), window.size());
-  const auto d = static_cast<std::size_t>(st.decimation);
-  double rate[2] = {0.0, 0.0};
-  std::vector<std::int64_t> dots[2];
-  for (const bool use_da : {false, true}) {
-    std::vector<std::int64_t>& o = dots[use_da ? 1 : 0];
-    rate[use_da ? 1 : 0] = measure_throughput(fir_in, [&] {
-                             o.clear();
-                             for (std::size_t j = d - 1; j < fir_in; j += d)
-                               o.push_back(use_da ? da.dot(window.data() + j)
-                                                  : twiddc::simd::dot_i64(
-                                                        rev.data(), window.data() + j,
-                                                        rev.size(), narrow_ok));
-                           }).msamples_per_s();
-  }
-  std::int64_t lo = 0;
-  std::int64_t hi = 0;
-  twiddc::simd::minmax_i64(window.data(), window.size(), lo, hi);
-  std::vector<std::int64_t> conditioned;
-  for (std::int64_t v : dots[0])
-    conditioned.push_back(twiddc::fixed::narrow(
-        twiddc::fixed::shift_right(v, st.post_shift, st.rounding), st.narrow_bits,
-        twiddc::fixed::Overflow::kSaturate));
-  const bool bit_exact = da.fits(lo, hi) && !dots[0].empty() && dots[0] == dots[1] &&
-                         conditioned == staged_out;
-
-  // Hardware-side costs of the plan's FIR stages, from the shared cost model.
-  std::size_t da_stages = 0;
-  std::size_t multipliers = 0;
-  std::size_t table_bits = 0;
-  std::size_t lookups = 0;
-  for (const auto& c : costs) {
-    da_stages += c.da_eligible ? 1 : 0;
-    multipliers += c.multipliers;
-    table_bits += c.table_bits;
-    lookups += c.lookups_per_output;
-  }
-
-  JsonLine j;
-  j.field("bench", std::string("throughput_pipeline"))
-      .field("chain", std::string("figure1:da_vs_mac"))
-      .field("mac_msamples_per_s", rate[0])
-      .field("da_msamples_per_s", rate[1])
-      .field("da_over_mac", rate[0] > 0.0 ? rate[1] / rate[0] : 0.0)
-      .field("bit_exact", bit_exact)
-      .field("da_stages", da_stages)
-      .field("mac_multipliers", multipliers)
-      .field("da_table_bits", table_bits)
-      .field("da_lookups_per_output", lookups)
-      .field("block_samples", input.size())
-      .field("simd", twiddc::simd::isa_name());
-  twiddc::benchutil::emit("figure1:da_vs_mac", j);
 }
 
 // ---------------------------------------------------------- plan cache
@@ -629,303 +516,9 @@ void bench_packed_fir() {
   }
 }
 
-// ------------------------------------------------------- streaming engine
-//
-// End-to-end serving rate of the stream layer: one shared feed, N concurrent
-// figure-1 sessions on the native backend, pumped through the session
-// engine's rings and worker pool and drained by this thread.  The aggregate
-// is channel-samples/s (sessions x feed samples / wall clock), so the line
-// tracks serving scale -- rings, fan-out, scheduling included -- not just
-// kernel speed.
-
-void bench_stream_sessions() {
-  twiddc::backends::register_builtin();
-  const auto cfg = DdcConfig::reference(10.0e6);
-  const auto spec = DatapathSpec::wide16();
-  const auto feed = figure1_stimulus(cfg, 2688 * 64);
-  const int hw = static_cast<int>(std::max(2u, std::thread::hardware_concurrency()));
-
-  double single_rate = 0.0;
-  // 256 sessions is the scheduler-era acceptance point: sessions far
-  // outnumber workers, so the line tracks admission/fairness overhead and
-  // targeted-wakeup scaling, not just kernel speed.
-  for (const std::size_t sessions : {1u, 4u, 16u, 64u, 256u}) {
-    twiddc::stream::EngineOptions opts;
-    opts.workers = hw;
-    opts.block_samples = 4096;
-    twiddc::stream::StreamEngine engine(
-        std::make_unique<twiddc::stream::VectorSource>(feed), opts);
-    std::vector<std::shared_ptr<twiddc::stream::Session>> open;
-    for (std::size_t s = 0; s < sessions; ++s) {
-      auto ch_cfg = cfg;
-      ch_cfg.nco_freq_hz = cfg.nco_freq_hz + 25.0e3 * static_cast<double>(s);
-      open.push_back(engine.open(twiddc::core::ChainPlan::figure1(ch_cfg, spec),
-                                 twiddc::backends::kNative));
-    }
-    const auto start = std::chrono::steady_clock::now();
-    engine.start();
-    const auto chunks = twiddc::stream::drain_all(engine, open);
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    engine.stop();
-    const double aggregate =
-        static_cast<double>(feed.size() * sessions) / elapsed / 1e6;
-    if (sessions == 1) single_rate = aggregate;
-    JsonLine j;
-    j.field("bench", std::string("throughput_pipeline"))
-        .field("chain", std::string("stream_engine:figure1"))
-        .field("sessions", sessions)
-        .field("workers", static_cast<std::size_t>(hw))
-        .field("workers_effective", static_cast<std::size_t>(engine.options().workers))
-        .field("block_samples", opts.block_samples)
-        .field("aggregate_msamples_per_s", aggregate)
-        .field("scaling_vs_single", single_rate > 0.0 ? aggregate / single_rate : 0.0)
-        .field("chunks", chunks.front().size())
-        .field("simd", twiddc::simd::isa_name());
-    twiddc::benchutil::emit("stream_engine:figure1", j);
-  }
-}
-
-// ---------------------------------------------------- overload / shedding
-//
-// Survivor tail latency at 2x oversubscription: `hw` weight-4 sessions are
-// actively drained (the survivors) while `hw` weight-1 sessions are paused
-// dead clients whose kBlock input rings fill and park the pump -- the
-// overload the watchdog's shedding exists to break.  The same setup runs
-// with shedding off and on; the probe is the p99 inter-chunk arrival gap
-// pooled across survivors (LatencyRecorder, tail gap included, so a stalled
-// survivor's silence is charged to the distribution).  With shedding off
-// the survivors starve behind the parked pump; with it on the watchdog
-// discards the victims' backlogs (GapCause::kShed in their streams) and the
-// survivors keep flowing.
-
-void bench_stream_overload() {
-  twiddc::backends::register_builtin();
-  const auto cfg = DdcConfig::reference(10.0e6);
-  const auto spec = DatapathSpec::wide16();
-  const int hw = static_cast<int>(std::max(2u, std::thread::hardware_concurrency()));
-  constexpr std::chrono::milliseconds kWindow{300};
-
-  for (const bool shed : {false, true}) {
-    twiddc::stream::EngineOptions opts;
-    opts.workers = hw;
-    opts.block_samples = 4096;
-    opts.session_queue_blocks = 4;
-    opts.watchdog_interval_us = 500;
-    opts.shed_enabled = shed;
-    opts.shed_pump_stall_ms = 5;
-    opts.shed_queue_fraction = 0.5;
-    twiddc::stream::StreamEngine engine(
-        std::make_unique<twiddc::stream::ToneSource>(10.0025e6, cfg.input_rate_hz,
-                                                     12, 0.7),
-        opts);
-
-    std::vector<std::shared_ptr<twiddc::stream::Session>> survivors;
-    for (int s = 0; s < 2 * hw; ++s) {
-      auto ch_cfg = cfg;
-      ch_cfg.nco_freq_hz = cfg.nco_freq_hz + 25.0e3 * static_cast<double>(s);
-      auto session = engine.open(twiddc::core::ChainPlan::figure1(ch_cfg, spec),
-                                 twiddc::backends::kNative);
-      if (s < hw) {
-        session->set_weight(4);
-        survivors.push_back(std::move(session));
-      } else {
-        session->set_weight(1);
-        session->set_paused(true);  // dead client: never polls, ring fills
-      }
-    }
-
-    twiddc::stream::LatencyRecorder recorder;
-    engine.start();
-    const auto t0 = std::chrono::steady_clock::now();
-    while (std::chrono::steady_clock::now() - t0 < kWindow) {
-      for (const auto& s : survivors)
-        for (auto& chunk : s->poll())
-          recorder.on_chunk(s->id(), std::move(chunk));
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    recorder.close_window();
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    engine.stop();
-
-    std::vector<std::uint64_t> ids;
-    std::uint64_t survivor_chunks = 0;
-    std::uint64_t survivor_samples = 0;
-    for (const auto& s : survivors) {
-      ids.push_back(s->id());
-      survivor_chunks += recorder.chunks(s->id());
-      survivor_samples += recorder.samples(s->id());
-    }
-    JsonLine j;
-    j.field("bench", std::string("throughput_pipeline"))
-        .field("chain", std::string("stream_engine:overload"))
-        .field("shed", shed)
-        .field("sessions", static_cast<std::size_t>(2 * hw))
-        .field("workers", static_cast<std::size_t>(hw))
-        .field("workers_effective", static_cast<std::size_t>(engine.options().workers))
-        .field("block_samples", opts.block_samples)
-        .field("window_ms", static_cast<std::size_t>(kWindow.count()))
-        .field("survivor_p50_gap_ms", recorder.gap_quantile_ms(ids, 0.50))
-        .field("survivor_p99_gap_ms", recorder.gap_quantile_ms(ids, 0.99))
-        .field("survivor_chunks", static_cast<std::size_t>(survivor_chunks))
-        .field("survivor_ksamples_per_s",
-               elapsed > 0.0 ? static_cast<double>(survivor_samples) / elapsed / 1e3
-                             : 0.0)
-        .field("shed_events", static_cast<std::size_t>(engine.shed_events()))
-        .field("shed_blocks", static_cast<std::size_t>(engine.shed_blocks()))
-        .field("simd", twiddc::simd::isa_name());
-    twiddc::benchutil::emit("stream_engine:overload", j);
-  }
-}
-
-// -------------------------------------------------------------- trace cost
-//
-// Runtime tracing overhead on the serving path: the identical N-session
-// end-to-end run with every trace category enabled vs the runtime kill
-// switch (mask 0).  The disabled number is what production pays for having
-// trace sites compiled in; the CI overhead gate compares it against a
-// TWIDDC_TRACE_COMPILED=OFF build's stream_engine:figure1 line instead --
-// this line tracks the cost of *recording*.
-//   {"bench": "throughput_pipeline", "chain": "stream_engine:trace",
-//    "disabled_msamples_per_s": ..., "enabled_msamples_per_s": ...,
-//    "enabled_overhead_pct": ..., "traced_events": ...}
-
-void bench_stream_trace_overhead() {
-  twiddc::backends::register_builtin();
-  const auto cfg = DdcConfig::reference(10.0e6);
-  const auto spec = DatapathSpec::wide16();
-  const auto feed = figure1_stimulus(cfg, 2688 * 64);
-  const int hw = static_cast<int>(std::max(2u, std::thread::hardware_concurrency()));
-  constexpr std::size_t kSessions = 16;
-
-  const std::uint32_t saved_mask = twiddc::trace::enabled_mask();
-  double rate[2] = {0.0, 0.0};
-  std::size_t traced_events = 0;
-  std::uint64_t traced_drops = 0;
-  for (const bool tracing : {false, true}) {
-    twiddc::trace::set_enabled(tracing ? twiddc::trace::kAllCategories : 0);
-    twiddc::stream::EngineOptions opts;
-    opts.workers = hw;
-    opts.block_samples = 4096;
-    twiddc::stream::StreamEngine engine(
-        std::make_unique<twiddc::stream::VectorSource>(feed), opts);
-    std::vector<std::shared_ptr<twiddc::stream::Session>> open;
-    for (std::size_t s = 0; s < kSessions; ++s) {
-      auto ch_cfg = cfg;
-      ch_cfg.nco_freq_hz = cfg.nco_freq_hz + 25.0e3 * static_cast<double>(s);
-      open.push_back(engine.open(twiddc::core::ChainPlan::figure1(ch_cfg, spec),
-                                 twiddc::backends::kNative));
-    }
-    const auto start = std::chrono::steady_clock::now();
-    engine.start();
-    (void)twiddc::stream::drain_all(engine, open);
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    engine.stop();
-    rate[tracing ? 1 : 0] =
-        static_cast<double>(feed.size() * kSessions) / elapsed / 1e6;
-    if (tracing) {
-      const auto snap = twiddc::trace::snapshot();
-      traced_events = snap.events.size();
-      traced_drops = snap.dropped;
-    }
-  }
-  twiddc::trace::set_enabled(saved_mask);
-  twiddc::trace::reset();
-
-  JsonLine j;
-  j.field("bench", std::string("throughput_pipeline"))
-      .field("chain", std::string("stream_engine:trace"))
-      .field("sessions", kSessions)
-      .field("workers", static_cast<std::size_t>(hw))
-      .field("block_samples", static_cast<std::size_t>(4096))
-      .field("disabled_msamples_per_s", rate[0])
-      .field("enabled_msamples_per_s", rate[1])
-      .field("enabled_overhead_pct",
-             rate[0] > 0.0 ? 100.0 * (1.0 - rate[1] / rate[0]) : 0.0)
-      .field("traced_events", traced_events)
-      .field("traced_drops", static_cast<std::size_t>(traced_drops))
-      .field("trace_compiled", TWIDDC_TRACE_COMPILED_MASK != 0u)
-      .field("simd", twiddc::simd::isa_name());
-  twiddc::benchutil::emit("stream_engine:trace", j);
-}
-
-// -------------------------------------------------------------- saturation
-//
-// Scale-out headline: aggregate serving rate and p99 inter-chunk gap at
-// 64..4096 concurrent sessions on one engine.  Total channel-samples are
-// held constant across session counts, so the sweep isolates admission/
-// fan-out/scheduling cost at scale rather than kernel time.  Per-session
-// NCO offsets cycle over 16 plans so the plan cache amortises compiles at
-// every population size.
-
-void bench_stream_saturation() {
-  twiddc::backends::register_builtin();
-  const auto cfg = DdcConfig::reference(10.0e6);
-  const auto spec = DatapathSpec::wide16();
-  const int hw = static_cast<int>(std::max(2u, std::thread::hardware_concurrency()));
-  constexpr std::size_t kTotalChannelSamples = std::size_t{1} << 24;
-  constexpr std::size_t kBlock = 4096;
-
-  for (const std::size_t sessions : {64u, 256u, 1024u, 4096u}) {
-    const std::size_t samples =
-        std::max<std::size_t>(2 * kBlock, kTotalChannelSamples / sessions);
-    const auto feed = figure1_stimulus(cfg, samples);
-    twiddc::stream::EngineOptions opts;
-    opts.workers = hw;
-    opts.block_samples = kBlock;
-    // Small output rings: 4096 sessions x 256 empty chunk slots is real
-    // memory; the drain loop below polls fast enough for 32.
-    opts.session_output_chunks = 32;
-    twiddc::stream::StreamEngine engine(
-        std::make_unique<twiddc::stream::VectorSource>(feed), opts);
-
-    std::vector<std::shared_ptr<twiddc::stream::Session>> open;
-    open.reserve(sessions);
-    for (std::size_t s = 0; s < sessions; ++s) {
-      auto ch_cfg = cfg;
-      ch_cfg.nco_freq_hz = cfg.nco_freq_hz + 25.0e3 * static_cast<double>(s % 16);
-      open.push_back(engine.open(twiddc::core::ChainPlan::figure1(ch_cfg, spec),
-                                 twiddc::backends::kNative));
-    }
-
-    twiddc::stream::LatencyRecorder recorder;
-    const auto start = std::chrono::steady_clock::now();
-    engine.start();
-    twiddc::stream::drain_each(
-        engine, open, [&recorder](std::size_t i, twiddc::stream::StreamChunk&& chunk) {
-          recorder.on_chunk(i, std::move(chunk));
-        });
-    recorder.close_window();
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    engine.stop();
-
-    std::vector<std::uint64_t> ids(open.size());
-    for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = i;
-    JsonLine j;
-    j.field("bench", std::string("throughput_pipeline"))
-        .field("chain", std::string("stream_engine:saturation"))
-        .field("sessions", sessions)
-        .field("workers_effective", static_cast<std::size_t>(engine.options().workers))
-        .field("block_samples", kBlock)
-        .field("feed_samples", samples)
-        .field("aggregate_msamples_per_s",
-               static_cast<double>(samples * sessions) / elapsed / 1e6)
-        .field("p50_gap_ms", recorder.gap_quantile_ms(ids, 0.50))
-        .field("p99_gap_ms", recorder.gap_quantile_ms(ids, 0.99))
-        .field("simd", twiddc::simd::isa_name());
-    twiddc::benchutil::emit("stream_engine:saturation", j);
-  }
-}
-
 /// TWIDDC_BENCH_ONLY: comma-separated substrings; a bench runs when any of
-/// them appears in its name (unset/empty = run everything).  The CI overhead
-/// gate uses it to run just the stream_engine lines on both trace builds.
+/// them appears in its name (unset/empty = run everything).  CI's avx512
+/// job uses it to run just the figure1:packed_fir line.
 bool bench_selected(const std::string& name) {
   const char* only = std::getenv("TWIDDC_BENCH_ONLY");
   if (!only || !*only) return true;
@@ -957,7 +550,6 @@ int main(int argc, char** argv) {
       {"figure1:wide16", [] { bench_figure1(DatapathSpec::wide16()); }},
       {"figure1:fpga", [] { bench_figure1(DatapathSpec::fpga()); }},
       {"figure1:fused_vs_staged", bench_fused_vs_staged},
-      {"figure1:da_vs_mac", bench_da_vs_mac},
       {"figure1:packed_fir", bench_packed_fir},
       {"plan_cache", bench_plan_cache},
       {"gc4016:figure4", bench_gc4016},
@@ -968,10 +560,6 @@ int main(int argc, char** argv) {
       {"backends", bench_backends},
       {"channel_bank:figure1", bench_channel_bank},
       {"channel_bank:skewed", bench_channel_bank_skewed},
-      {"stream_engine:figure1", bench_stream_sessions},
-      {"stream_engine:overload", bench_stream_overload},
-      {"stream_engine:trace", bench_stream_trace_overhead},
-      {"stream_engine:saturation", bench_stream_saturation},
   };
   for (const auto& b : kBenches)
     if (bench_selected(b.name)) b.fn();

@@ -1,7 +1,6 @@
 // twiddc::metrics -- log-bucketed latency histograms.  StreamEngine keeps
 // one per latency it reports (rendered into the "latency" object of
-// stats_json() through common/json.hpp), and stream/sink.hpp keeps one per
-// session for inter-chunk gaps.
+// stats_json() through common/json.hpp).
 //
 // record() is lock-free atomics; counts are exact (fetch_add), only
 // histogram *quantiles* are approximate (log-linear buckets, 8 linear

@@ -187,7 +187,6 @@ void set_enabled(std::uint32_t category_mask) {
 std::uint32_t enabled_mask() { return g_mask.load(std::memory_order_relaxed); }
 
 bool enabled(Category c) {
-  if (!(TWIDDC_TRACE_COMPILED_MASK & bit(c))) return false;
   return (g_mask.load(std::memory_order_relaxed) & bit(c)) != 0;
 }
 

@@ -1,12 +1,20 @@
 // twiddc::trace -- process-wide, lock-free structured tracing.
 //
 // Every thread that emits events owns a bounded ring of fixed-size POD
-// slots; writers never take a lock and never block.  A site costs one
-// relaxed atomic load when its category is disabled (the runtime kill
-// switch), and compiles out entirely when masked by
-// TWIDDC_TRACE_COMPILED_MASK.  When a ring wraps, the oldest events are
-// overwritten and counted as drops -- tracing sheds history, never
-// throughput.
+// slots; writers never take a lock and never block.  When a ring wraps,
+// the oldest events are overwritten and counted as drops -- tracing sheds
+// history, never throughput.
+//
+// Tracing has one switch: the runtime category mask (set_enabled, or
+// $TWIDDC_TRACE at load time).  A disabled site is not free: enabled() is
+// defined out of line in trace.cpp, so every site pays one function call
+// plus one relaxed load, and a Span also pays its out-of-line finish(),
+// which returns at once.  A served block crosses few sites: the pump's
+// pump_block span (once per feed block, shared by every session), one
+// service span per session service pass (a pass covers up to a quantum of
+// blocks), and the scheduler's wakeup instant per targeted wakeup (steal
+// per steal).  The stall, gap, shed, retune and fault sites check the
+// mask only when that event happens.
 //
 // Readers (snapshot/export) merge all rings into one timeline sorted by
 // monotonic timestamp.  The one exporter writes Chrome trace format (load
@@ -18,17 +26,9 @@
 #include <string>
 #include <vector>
 
-// Compile-time category enable mask.  Bits correspond to trace::Category;
-// a cleared bit removes the whole emit path at compile time (the CMake
-// option TWIDDC_TRACE_COMPILED=OFF sets this to 0 for the overhead-gate
-// comparison build).  Default: everything compiled in, runtime-gated.
-#ifndef TWIDDC_TRACE_COMPILED_MASK
-#define TWIDDC_TRACE_COMPILED_MASK 0xffffffffu
-#endif
-
 namespace twiddc::trace {
 
-/// Event categories; one bit each in the enable masks.
+/// Event categories; one bit each in the enable mask.
 enum class Category : std::uint8_t {
   kSched = 0,   ///< TaskScheduler: steal, wakeup
   kStream = 1,  ///< StreamEngine/Session: pump, service, retune, gap, fault
@@ -66,8 +66,8 @@ static_assert(sizeof(TraceEvent) == 32, "TraceEvent must stay compact");
 void set_enabled(std::uint32_t category_mask);
 [[nodiscard]] std::uint32_t enabled_mask();
 
-/// True iff events of category `c` are currently recorded.  The fast path
-/// for disabled tracing: a compile-time test plus one relaxed load.
+/// True iff events of category `c` are currently recorded: one relaxed
+/// load, behind an out-of-line call.
 [[nodiscard]] bool enabled(Category c);
 
 /// Parses a TWIDDC_TRACE-style spec: comma-separated category names
@@ -107,7 +107,8 @@ inline void instant(Category c, std::uint16_t name, std::uint64_t arg0 = 0,
 
 /// RAII duration span: one kComplete event at destruction carrying the
 /// start timestamp and elapsed ns (arg1).  A span on a disabled category
-/// costs the enabled() check twice and records nothing.
+/// costs one enabled() call and a finish() call that returns at once, and
+/// records nothing.
 class Span {
  public:
   Span(Category c, std::uint16_t name, std::uint64_t arg0 = 0)

@@ -113,6 +113,28 @@ bool wait_until(Pred pred, std::chrono::seconds timeout = std::chrono::seconds(3
   return true;
 }
 
+/// wait_until without sleeping: yields between polls.  For waits on
+/// engine-side progress (watchdog ticks, ring fill), not on elapsed time.
+template <typename Pred>
+bool spin_until(Pred pred, std::chrono::seconds timeout = std::chrono::seconds(30)) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+/// The engine's watchdog tick count, as stats_json() reports it.
+std::uint64_t watchdog_ticks(const StreamEngine& engine) {
+  const std::string json = engine.stats_json();
+  const std::string key = "\"watchdog_ticks\": ";
+  const std::size_t at = json.find(key);
+  return at == std::string::npos
+             ? 0
+             : std::strtoull(json.c_str() + at + key.size(), nullptr, 10);
+}
+
 /// Hands out a VectorSource feed, but never more than two blocks ahead of
 /// `pace`'s processed count, so `pace`'s input ring (>= 4 blocks) never
 /// fills and the pump cannot park on it, however the OS schedules its
@@ -729,6 +751,56 @@ TEST_F(FaultInjectionTest, PumpStallShedFreesTheFeedAndMarksTheStream) {
   EXPECT_GT(engine.shed_blocks(), 0u);
   const std::string json = engine.stats_json();
   EXPECT_NE(json.find("\"shed_events\""), std::string::npos);
+}
+
+TEST_F(FaultInjectionTest, ShedOffLeavesThePumpParkedBehindADeadClient) {
+  // The other half of the overload contract: with shedding off, kBlock
+  // means stall-everyone.  A dead client (paused kBlock session) fills its
+  // ring and parks the pump; the watchdog keeps ticking but sheds nothing,
+  // so the keeper gets no further than the block the pump parked on and
+  // the feed stays unfinished.  Nothing is lost: once the client resumes,
+  // both streams are complete and bit-exact.
+  const auto feed = make_feed(2048 * 32);
+  EngineOptions opts;
+  opts.workers = 2;
+  opts.block_samples = 2048;
+  opts.session_queue_blocks = 4;
+  opts.watchdog_interval_us = 500;
+  opts.shed_enabled = false;
+  opts.shed_pump_stall_ms = 5;  // what would fire if shedding were on
+  StreamEngine engine(std::make_unique<VectorSource>(feed), opts);
+  auto keeper = engine.open(figure1_plan(), backends::kNative);
+  auto victim = engine.open(figure1_plan(25.0e3), backends::kNative);
+  victim->set_paused(true);
+  engine.start();
+  ASSERT_TRUE(spin_until([&] {
+    return victim->stats().blocks_enqueued >= opts.session_queue_blocks;
+  }));
+  // The pump parks on the victim's full ring at its next block.  Ticks are
+  // at least watchdog_interval_us apart, so 20 more span twice the
+  // pump-stall limit.
+  const std::uint64_t ticks = watchdog_ticks(engine);
+  ASSERT_TRUE(spin_until([&] { return watchdog_ticks(engine) >= ticks + 20; }));
+
+  EXPECT_EQ(engine.shed_events(), 0u);
+  EXPECT_EQ(victim->stats().blocks_enqueued, opts.session_queue_blocks);
+  EXPECT_LE(keeper->stats().blocks_enqueued, opts.session_queue_blocks + 1);
+  EXPECT_LE(engine.blocks_pumped(), opts.session_queue_blocks);
+  EXPECT_FALSE(engine.feed_exhausted());
+
+  victim->set_paused(false);
+  auto chunks = drain_all(engine, {keeper, victim});
+  engine.stop();
+
+  EXPECT_EQ(engine.shed_events(), 0u);
+  EXPECT_TRUE(engine.feed_exhausted());
+  EXPECT_EQ(keeper->stats().gaps, 0u);
+  EXPECT_EQ(victim->stats().gaps, 0u);
+  expect_equal(flatten(chunks[0]), one_shot(backends::kNative, figure1_plan(), feed),
+               "keeper behind a parked pump");
+  expect_equal(flatten(chunks[1]),
+               one_shot(backends::kNative, figure1_plan(25.0e3), feed),
+               "resumed dead client");
 }
 
 TEST_F(FaultInjectionTest, OccupancyShedTakesTheLowestWeightSessionFirst) {
