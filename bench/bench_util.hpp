@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cstdio>
@@ -53,13 +54,10 @@ struct Throughput {
 };
 
 /// Runs `body` (which must consume `samples_per_rep` input samples per call)
-/// repeatedly until at least `min_seconds` of wall clock have elapsed, after
-/// one untimed warm-up call.
+/// repeatedly until at least `min_seconds` of wall clock have elapsed.
 template <typename F>
-Throughput measure_throughput(std::size_t samples_per_rep, F&& body,
-                              double min_seconds = 0.3) {
+Throughput time_window(std::size_t samples_per_rep, F&& body, double min_seconds) {
   using clock = std::chrono::steady_clock;
-  body();  // warm-up: page in buffers, settle the branch predictors
   Throughput t;
   const auto start = clock::now();
   do {
@@ -70,23 +68,97 @@ Throughput measure_throughput(std::size_t samples_per_rep, F&& body,
   return t;
 }
 
+/// time_window after one untimed warm-up call.
+template <typename F>
+Throughput measure_throughput(std::size_t samples_per_rep, F&& body,
+                              double min_seconds = 0.3) {
+  body();  // warm-up: page in buffers, settle the branch predictors
+  return time_window(samples_per_rep, body, min_seconds);
+}
+
+/// B's throughput relative to A's, from interleaved trials.
+struct PairedRatio {
+  Throughput a;         ///< A's trial with the median rate
+  Throughput b;         ///< B's trial with the median rate
+  double median = 0.0;  ///< median of the per-trial ratios rate(B) / rate(A)
+  double min = 0.0;
+  double iqr = 0.0;     ///< interquartile range of the ratios
+  std::size_t trials = 0;
+};
+
+/// Paired A/B comparison.  Both sides are warmed first (a call each, then
+/// one untimed window each), so neither is timed cold.  Then each of 9
+/// rounds times A and B back to back for 80 ms each, alternating which goes
+/// first, and keeps rate(B) / rate(A): drift in clock speed or host load
+/// lands on both sides of a ratio alike.
+template <typename A, typename B>
+PairedRatio paired_ratio(std::size_t a_samples, A&& a, std::size_t b_samples, B&& b) {
+  constexpr std::size_t trials = 9;
+  constexpr double trial_seconds = 0.08;
+  a();
+  b();
+  (void)time_window(a_samples, a, trial_seconds);
+  (void)time_window(b_samples, b, trial_seconds);
+  std::vector<Throughput> ta;
+  std::vector<Throughput> tb;
+  std::vector<double> ratios;
+  for (std::size_t i = 0; i < trials; ++i) {
+    if (i % 2 == 0) {
+      ta.push_back(time_window(a_samples, a, trial_seconds));
+      tb.push_back(time_window(b_samples, b, trial_seconds));
+    } else {
+      tb.push_back(time_window(b_samples, b, trial_seconds));
+      ta.push_back(time_window(a_samples, a, trial_seconds));
+    }
+    ratios.push_back(tb.back().msamples_per_s() / ta.back().msamples_per_s());
+  }
+  const auto by_rate = [](const Throughput& x, const Throughput& y) {
+    return x.msamples_per_s() < y.msamples_per_s();
+  };
+  std::sort(ta.begin(), ta.end(), by_rate);
+  std::sort(tb.begin(), tb.end(), by_rate);
+  std::sort(ratios.begin(), ratios.end());
+  // Quantile by linear interpolation between order statistics.
+  const auto quantile = [&](double q) {
+    const double pos = q * static_cast<double>(ratios.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, ratios.size() - 1);
+    return ratios[lo] + (pos - static_cast<double>(lo)) * (ratios[hi] - ratios[lo]);
+  };
+  PairedRatio r;
+  r.a = ta[trials / 2];
+  r.b = tb[trials / 2];
+  r.median = quantile(0.5);
+  r.min = ratios.front();
+  r.iqr = quantile(0.75) - quantile(0.25);
+  r.trials = trials;
+  return r;
+}
+
 /// The shared one-line JSON writer (src/common/json.hpp), re-exported under
 /// the historical benchutil name.
 using twiddc::JsonLine;
 
-/// Formats a block-vs-push throughput pair as one JSON line.
+/// Adds a paired ratio as `key` (the median), `key`_min, `key`_iqr and the
+/// trial count.
+inline JsonLine& ratio_fields(JsonLine& j, const std::string& key, const PairedRatio& r) {
+  return j.field(key, r.median)
+      .field(key + "_min", r.min)
+      .field(key + "_iqr", r.iqr)
+      .field("trials", r.trials);
+}
+
+/// Formats a paired push (A) vs block (B) measurement as one JSON line.
 inline JsonLine throughput_json(const std::string& bench, const std::string& chain,
-                                const Throughput& push, const Throughput& block,
+                                const PairedRatio& push_vs_block,
                                 std::size_t block_samples) {
   JsonLine j;
   j.field("bench", bench)
       .field("chain", chain)
-      .field("push_msamples_per_s", push.msamples_per_s())
-      .field("block_msamples_per_s", block.msamples_per_s())
-      .field("speedup_block_over_push",
-             block.msamples_per_s() / push.msamples_per_s())
-      .field("block_samples", block_samples);
-  return j;
+      .field("push_msamples_per_s", push_vs_block.a.msamples_per_s())
+      .field("block_msamples_per_s", push_vs_block.b.msamples_per_s());
+  ratio_fields(j, "speedup_block_over_push", push_vs_block);
+  return j.field("block_samples", block_samples);
 }
 
 /// One kernel's block throughput (cic/fir/nco...) as a JSON line.  The keys
@@ -102,26 +174,24 @@ inline JsonLine kernel_json(const std::string& bench, const std::string& kernel,
   return j;
 }
 
-/// A multi-channel batch measurement: `aggregate` counts channel-samples
-/// (inputs x channels) per second; `scaling_vs_single` is aggregate relative
-/// to the measured one-channel single-worker rate.
+/// A multi-channel batch measurement paired against its baseline (A):
+/// `aggregate` counts channel-samples (inputs x channels) per second;
+/// `scaling_vs_single` is the paired aggregate(B) / baseline(A) ratio.
 inline JsonLine channel_bank_json(const std::string& bench, const std::string& chain,
                                   std::size_t channels, int workers,
-                                  const Throughput& aggregate,
-                                  double single_channel_msamples_per_s,
+                                  const PairedRatio& vs_baseline,
                                   std::size_t block_samples) {
+  const double aggregate = vs_baseline.b.msamples_per_s();
   JsonLine j;
   j.field("bench", bench)
       .field("chain", chain)
       .field("channels", channels)
       .field("workers", static_cast<std::size_t>(workers))
-      .field("aggregate_msamples_per_s", aggregate.msamples_per_s())
-      .field("per_channel_msamples_per_s",
-             aggregate.msamples_per_s() / static_cast<double>(channels))
-      .field("scaling_vs_single", aggregate.msamples_per_s() /
-                                      single_channel_msamples_per_s)
-      .field("block_samples", block_samples);
-  return j;
+      .field("aggregate_msamples_per_s", aggregate)
+      .field("per_channel_msamples_per_s", aggregate / static_cast<double>(channels))
+      .field("baseline_msamples_per_s", vs_baseline.a.msamples_per_s());
+  ratio_fields(j, "scaling_vs_single", vs_baseline);
+  return j.field("block_samples", block_samples);
 }
 
 // ------------------------------------------------------- record trajectory

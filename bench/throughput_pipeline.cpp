@@ -21,10 +21,17 @@
 //   "chain": "channel_bank:figure1" / "channel_bank:skewed"
 //       multi-channel aggregate (channel-samples/s) and its scaling.
 //
-// The "simd" field records the build's compiled ISA path; for the cic2/cic5
-// lines it identifies the build, not a vector kernel.  Every line is teed
-// through benchutil::emit, so --out FILE / TWIDDC_BENCH_OUT appends
-// BENCH_<name>.json records.
+// Every ratio line (block/push, fused/staged, packed/monolithic, channel
+// scaling) is a benchutil::paired_ratio: both sides warmed, then >= 7
+// interleaved trials; the ratio key holds the median of the per-trial
+// ratios, with <key>_min, <key>_iqr and "trials" beside it, and the rate
+// fields hold each side's median trial.
+//
+// The "simd" field records the kernel tier that ran (simd::active_path():
+// "avx512", the build's compiled path, or "scalar" under the kill switch);
+// for the cic2/cic5 lines it identifies the tier, not a vector kernel.
+// Every line is teed through benchutil::emit, so --out FILE /
+// TWIDDC_BENCH_OUT appends BENCH_<name>.json records.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -52,8 +59,10 @@
 namespace {
 
 using twiddc::benchutil::JsonLine;
+using twiddc::benchutil::PairedRatio;
 using twiddc::benchutil::Throughput;
 using twiddc::benchutil::measure_throughput;
+using twiddc::benchutil::paired_ratio;
 using twiddc::core::ChainPlan;
 using twiddc::core::ChannelBank;
 using twiddc::core::DatapathSpec;
@@ -73,33 +82,34 @@ void bench_figure1(const DatapathSpec& spec) {
   const auto input = figure1_stimulus(cfg, kBlock);
 
   FixedDdc by_push(cfg, spec);
-  std::vector<IqSample> sink;
-  const Throughput push = measure_throughput(input.size(), [&] {
-    sink.clear();
-    for (std::int64_t x : input) {
-      if (auto y = by_push.push(x)) sink.push_back(*y);
-    }
-  });
-
   FixedDdc by_block(cfg, spec);
-  const Throughput block = measure_throughput(input.size(), [&] {
-    sink.clear();
-    by_block.process_block(input, sink);
-  });
+  std::vector<IqSample> sink;
+  const PairedRatio r = paired_ratio(
+      input.size(),
+      [&] {
+        sink.clear();
+        for (std::int64_t x : input) {
+          if (auto y = by_push.push(x)) sink.push_back(*y);
+        }
+      },
+      input.size(),
+      [&] {
+        sink.clear();
+        by_block.process_block(input, sink);
+      });
 
   twiddc::benchutil::emit(
       "figure1:" + spec.name,
-      twiddc::benchutil::throughput_json("throughput_pipeline",
-                                         "figure1:" + spec.name, push, block,
-                                         input.size())
-          .field("simd", twiddc::simd::isa_name()));
+      twiddc::benchutil::throughput_json("throughput_pipeline", "figure1:" + spec.name,
+                                         r, input.size())
+          .field("simd", twiddc::simd::active_path()));
 }
 
 // -------------------------------------------------- fused vs staged chain
 
 // The plan-compiler acceptance line: the same Figure-1 chain executed by the
-// staged DdcPipeline (one memory sweep per stage) and by the fused
-// FusedChainExec (L1-sized tiles, conditioning fused into stage outputs).
+// staged DdcPipeline (one memory sweep per stage) and by FusedChainExec
+// (the int32 front end: NCO, mixer and CIC2 in registers, one pass).
 // The two paths are bit-exact (asserted here and pinned by tests); the line
 // records what the fusion buys in block throughput:
 //   {"bench": "throughput_pipeline", "chain": "figure1:fused_vs_staged",
@@ -113,19 +123,20 @@ void bench_fused_vs_staged() {
   const auto input = figure1_stimulus(cfg, kBlock);
 
   twiddc::core::DdcPipeline staged(plan);
-  std::vector<IqSample> sink;
-  const Throughput t_staged = measure_throughput(input.size(), [&] {
-    sink.clear();
-    staged.process_block(input, sink);
-  });
-  const std::vector<IqSample> staged_out = sink;
-
   twiddc::core::FusedChainExec fused(
       twiddc::core::CompiledPlanCache::instance().get_or_compile(plan));
-  const Throughput t_fused = measure_throughput(input.size(), [&] {
-    sink.clear();
-    fused.process_block(input, sink);
-  });
+  std::vector<IqSample> sink;
+  const PairedRatio r = paired_ratio(
+      input.size(),
+      [&] {
+        sink.clear();
+        staged.process_block(input, sink);
+      },
+      input.size(),
+      [&] {
+        sink.clear();
+        fused.process_block(input, sink);
+      });
 
   // Not a substitute for the test suite, but a bench that silently compared
   // two different computations would be worse than no bench.
@@ -140,15 +151,12 @@ void bench_fused_vs_staged() {
   JsonLine j;
   j.field("bench", std::string("throughput_pipeline"))
       .field("chain", std::string("figure1:fused_vs_staged"))
-      .field("staged_msamples_per_s", t_staged.msamples_per_s())
-      .field("fused_msamples_per_s", t_fused.msamples_per_s())
-      .field("speedup_fused_over_staged",
-             t_staged.msamples_per_s() > 0.0
-                 ? t_fused.msamples_per_s() / t_staged.msamples_per_s()
-                 : 0.0)
+      .field("staged_msamples_per_s", r.a.msamples_per_s())
+      .field("fused_msamples_per_s", r.b.msamples_per_s());
+  twiddc::benchutil::ratio_fields(j, "speedup_fused_over_staged", r)
       .field("bit_exact", bit_exact)
       .field("block_samples", input.size())
-      .field("simd", twiddc::simd::isa_name());
+      .field("simd", twiddc::simd::active_path());
   twiddc::benchutil::emit("figure1:fused_vs_staged", j);
 }
 
@@ -210,7 +218,7 @@ void bench_plan_cache() {
       .field("hit_rate_shared",
              static_cast<double>(after_shared.hits - before_shared.hits) /
                  static_cast<double>(kSessions))
-      .field("simd", twiddc::simd::isa_name());
+      .field("simd", twiddc::simd::active_path());
   twiddc::benchutil::emit("plan_cache", j);
 }
 
@@ -224,23 +232,26 @@ void bench_gc4016() {
       twiddc::dsp::make_tone(15.0025e6, gcfg.input_rate_hz, n, 0.7), gcfg.input_bits);
 
   std::vector<twiddc::asic::Gc4016Output> sink;
-  const Throughput push = measure_throughput(input.size(), [&] {
-    sink.clear();
-    auto& ch = push_chip.channel(0);
-    for (std::int64_t x : input) {
-      if (auto y = ch.push(x)) sink.push_back(*y);
-    }
-  });
-  const Throughput block = measure_throughput(input.size(), [&] {
-    sink.clear();
-    block_chip.channel(0).process_block(input, sink);
-  });
+  const PairedRatio r = paired_ratio(
+      input.size(),
+      [&] {
+        sink.clear();
+        auto& ch = push_chip.channel(0);
+        for (std::int64_t x : input) {
+          if (auto y = ch.push(x)) sink.push_back(*y);
+        }
+      },
+      input.size(),
+      [&] {
+        sink.clear();
+        block_chip.channel(0).process_block(input, sink);
+      });
 
   twiddc::benchutil::emit(
       "gc4016:figure4",
-      twiddc::benchutil::throughput_json("throughput_pipeline", "gc4016:figure4",
-                                         push, block, input.size())
-          .field("simd", twiddc::simd::isa_name()));
+      twiddc::benchutil::throughput_json("throughput_pipeline", "gc4016:figure4", r,
+                                         input.size())
+          .field("simd", twiddc::simd::active_path()));
 }
 
 // ------------------------------------------------------------- kernel rates
@@ -249,7 +260,7 @@ void kernel_line(const std::string& kernel, const Throughput& t, std::size_t n) 
   twiddc::benchutil::emit(
       "kernel:" + kernel,
       twiddc::benchutil::kernel_json("throughput_pipeline", kernel, t, n)
-          .field("simd", twiddc::simd::isa_name()));
+          .field("simd", twiddc::simd::active_path()));
 }
 
 void bench_kernel_nco_mixer() {
@@ -349,7 +360,7 @@ void bench_backends() {
         .field("plan", plan.name)
         .field("block_msamples_per_s", t.msamples_per_s())
         .field("block_samples", input.size())
-        .field("simd", twiddc::simd::isa_name());
+        .field("simd", twiddc::simd::active_path());
     twiddc::benchutil::emit("backend:" + backend->name(), j);
   }
 }
@@ -362,7 +373,8 @@ void bench_backends() {
 // stealing; this line is where that win lands in the trajectory:
 //   {"bench": "throughput_pipeline", "chain": "channel_bank:skewed",
 //    "channels": 9, "workers": N, "aggregate_msamples_per_s": ...,
-//    "scaling_vs_single": ...}   (scaling is vs the serial skewed run)
+//    "baseline_msamples_per_s": ..., "scaling_vs_single": ...}
+// (scaling is the sharded bank paired against the same bank on one worker)
 
 void bench_channel_bank_skewed() {
   const auto spec = DatapathSpec::wide16();
@@ -385,24 +397,30 @@ void bench_channel_bank_skewed() {
   const auto input = figure1_stimulus(light, 2688 * 64);
   const int hw = std::max(2u, std::thread::hardware_concurrency());
 
-  double serial_rate = 0.0;
-  for (int workers : {1, hw}) {
-    ChannelBank bank(plans, workers);
-    std::vector<std::vector<IqSample>> planar;
-    const std::size_t channel_samples = input.size() * plans.size();
-    const Throughput t = measure_throughput(channel_samples, [&] {
+  ChannelBank serial(plans, 1);
+  ChannelBank sharded(plans, hw);
+  std::vector<std::vector<IqSample>> planar;
+  const std::size_t channel_samples = input.size() * plans.size();
+  const auto run = [&](ChannelBank& bank) {
+    return [&] {
       for (auto& p : planar) p.clear();
       bank.process_block(input, planar);
-    });
-    if (workers == 1) serial_rate = t.msamples_per_s();
-    twiddc::benchutil::emit(
-        "channel_bank:skewed",
-        twiddc::benchutil::channel_bank_json("throughput_pipeline",
-                                             "channel_bank:skewed", plans.size(),
-                                             workers, t, serial_rate, input.size())
-            .field("simd", twiddc::simd::isa_name()));
-  }
+    };
+  };
+  const PairedRatio r =
+      paired_ratio(channel_samples, run(serial), channel_samples, run(sharded));
+  twiddc::benchutil::emit(
+      "channel_bank:skewed",
+      twiddc::benchutil::channel_bank_json("throughput_pipeline", "channel_bank:skewed",
+                                           plans.size(), hw, r, input.size())
+          .field("simd", twiddc::simd::active_path()));
 }
+
+// Channel scaling: banks of 1, 2, 4 and 8 detuned Figure-1 channels on one
+// worker and on every core, each paired against the one-channel, one-worker
+// bank (that baseline has no line of its own):
+//   {"chain": "channel_bank:figure1", "channels": 8, "workers": N,
+//    "aggregate_msamples_per_s": ..., "scaling_vs_single": ..., ...}
 
 void bench_channel_bank() {
   const auto cfg = DdcConfig::reference(10.0e6);
@@ -415,7 +433,12 @@ void bench_channel_bank() {
   // on hosts where hardware_concurrency() reports 1 or 0.
   const int hw = std::max(2u, std::thread::hardware_concurrency());
 
-  double single_rate = 0.0;
+  ChannelBank single({ChainPlan::figure1(cfg, spec)}, 1);
+  std::vector<std::vector<IqSample>> single_out;
+  const auto run_single = [&] {
+    for (auto& p : single_out) p.clear();
+    single.process_block(input, single_out);
+  };
   for (std::size_t channels : {1u, 2u, 4u, 8u}) {
     std::vector<ChainPlan> plans;
     for (std::size_t c = 0; c < channels; ++c) {
@@ -425,22 +448,20 @@ void bench_channel_bank() {
       plans.push_back(ChainPlan::figure1(ch_cfg, spec));
     }
     for (int workers : {1, hw}) {
-      if (workers != 1 && channels == 1) continue;
+      if (channels == 1 && workers == 1) continue;  // the baseline itself
       ChannelBank bank(plans, workers);
       std::vector<std::vector<IqSample>> planar;
-      const std::size_t channel_samples = input.size() * channels;
-      const Throughput t = measure_throughput(channel_samples, [&] {
-        for (auto& p : planar) p.clear();
-        bank.process_block(input, planar);
-      });
-      if (channels == 1 && workers == 1) single_rate = t.msamples_per_s();
+      const PairedRatio r = paired_ratio(
+          input.size(), run_single, input.size() * channels, [&] {
+            for (auto& p : planar) p.clear();
+            bank.process_block(input, planar);
+          });
       twiddc::benchutil::emit(
           "channel_bank:figure1",
           twiddc::benchutil::channel_bank_json("throughput_pipeline",
                                                "channel_bank:figure1", channels,
-                                               workers, t, single_rate,
-                                               input.size())
-              .field("simd", twiddc::simd::isa_name()));
+                                               workers, r, input.size())
+              .field("simd", twiddc::simd::active_path()));
     }
   }
 }
@@ -457,7 +478,7 @@ void bench_channel_bank() {
 // scalar tier and the speedup sits near 1), and an "avx512" line is added
 // when the runtime tier is active on this host.  Packed-vs-monolithic
 // bit-exactness is asserted inline, same spirit as figure1:fused_vs_staged.
-// The CI bench gate reads the "avx2"-tier line and requires
+// The CI bench gate reads the "avx2"-tier line and requires a median
 // speedup_packed_over_monolithic >= 1.2 at 64 channels.
 
 void bench_packed_fir() {
@@ -481,23 +502,26 @@ void bench_packed_fir() {
 
   for (const Tier& tier : tiers) {
     twiddc::simd::ScopedAvx512 cap(tier.avx512);
-    double rate[2] = {0.0, 0.0};
-    std::vector<std::vector<IqSample>> out[2];
-    for (const bool packed : {false, true}) {
-      ChannelBank bank(plans, /*workers=*/1);
-      bank.set_packing(packed);
-      std::vector<std::vector<IqSample>> planar;
-      const std::size_t channel_samples = input.size() * kChannels;
-      const Throughput t = measure_throughput(channel_samples, [&] {
+    ChannelBank monolithic(plans, /*workers=*/1);
+    ChannelBank packed(plans, /*workers=*/1);
+    monolithic.set_packing(false);
+    std::vector<std::vector<IqSample>> planar;
+    const auto run = [&](ChannelBank& bank) {
+      return [&] {
         for (auto& p : planar) p.clear();
         bank.process_block(input, planar);
-      });
-      rate[packed ? 1 : 0] = t.msamples_per_s();
-      // Fresh bank for the bit-exactness capture: the timed reps above left
-      // settled ring history behind.
+      };
+    };
+    const std::size_t channel_samples = input.size() * kChannels;
+    const PairedRatio r =
+        paired_ratio(channel_samples, run(monolithic), channel_samples, run(packed));
+    // Fresh banks for the bit-exactness capture: the timed reps above left
+    // settled ring history behind.
+    std::vector<std::vector<IqSample>> out[2];
+    for (const bool pack : {false, true}) {
       ChannelBank check(plans, /*workers=*/1);
-      check.set_packing(packed);
-      check.process_block(input, out[packed ? 1 : 0]);
+      check.set_packing(pack);
+      check.process_block(input, out[pack ? 1 : 0]);
     }
     JsonLine j;
     j.field("bench", std::string("throughput_pipeline"))
@@ -505,10 +529,9 @@ void bench_packed_fir() {
         .field("channels", kChannels)
         .field("workers", std::size_t{1})
         .field("tier", std::string(tier.label))
-        .field("monolithic_msamples_per_s", rate[0])
-        .field("packed_msamples_per_s", rate[1])
-        .field("speedup_packed_over_monolithic",
-               rate[0] > 0.0 ? rate[1] / rate[0] : 0.0)
+        .field("monolithic_msamples_per_s", r.a.msamples_per_s())
+        .field("packed_msamples_per_s", r.b.msamples_per_s());
+    twiddc::benchutil::ratio_fields(j, "speedup_packed_over_monolithic", r)
         .field("bit_exact", out[0] == out[1])
         .field("block_samples", input.size())
         .field("simd", twiddc::simd::active_path());

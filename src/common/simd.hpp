@@ -19,9 +19,11 @@
 // build; it is not meant for production use.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstddef>
+#include <type_traits>
 
 #include "src/fixed/qformat.hpp"
 
@@ -171,14 +173,20 @@ class ScopedEnable {
   bool prev_;
 };
 
+/// True when every element of v[0..n) fits a signed field of `bits`
+/// (1..63).  Branch-free, so it vectorises: (v + 2^(bits-1)) fits an
+/// unsigned `bits` field iff v fits the signed one; OR the high parts.
+inline bool all_fit_bits(const std::int64_t* v, std::size_t n, int bits) {
+  const std::uint64_t bias = std::uint64_t{1} << (bits - 1);
+  std::uint64_t high = 0;
+  for (std::size_t i = 0; i < n; ++i) high |= (static_cast<std::uint64_t>(v[i]) + bias) >> bits;
+  return high == 0;
+}
+
 /// True when every element of v[0..n) fits a signed 32-bit field (the
 /// precondition for the single-instruction 32x32->64 multiply path).
 inline bool all_fit_i32(const std::int64_t* v, std::size_t n) {
-  // Branch-free: (v + 2^31) fits uint32 iff v fits int32; OR the high words.
-  std::uint64_t high = 0;
-  for (std::size_t i = 0; i < n; ++i)
-    high |= (static_cast<std::uint64_t>(v[i]) + 0x80000000ull) >> 32;
-  return high == 0;
+  return all_fit_bits(v, n, 32);
 }
 
 // --------------------------------------------------------------- dot product
@@ -368,19 +376,59 @@ inline std::uint32_t lut_sincos_block_scalar(std::uint32_t phase, std::uint32_t 
   return phase;
 }
 
+#if defined(__AVX2__)
+namespace detail {
+/// cos/sin of 8 phases from the quarter-wave LUT: the scalar quadrant switch
+/// of lut_sincos_block_scalar, branch-free.  `vmask` is 2^table_bits - 1 in
+/// every lane, `shift` is 30 - table_bits.
+inline void lut_sincos8(__m256i vphase, const std::int32_t* table, __m256i vmask,
+                        __m128i shift, __m256i& cos_v, __m256i& sin_v) {
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i one = _mm256_set1_epi32(1);
+  const __m256i two = _mm256_set1_epi32(2);
+  const __m256i quadrant = _mm256_srli_epi32(vphase, 30);
+  const __m256i index = _mm256_and_si256(_mm256_srl_epi32(vphase, shift), vmask);
+  const __m256i fwd = _mm256_i32gather_epi32(table, index, 4);
+  const __m256i mir = _mm256_i32gather_epi32(table, _mm256_sub_epi32(vmask, index), 4);
+  // Quadrant bit 0 swaps fwd/mir; the negation masks follow the scalar
+  // switch: sin negates in quadrants 2,3 (bit 1), cos in 1,2 (bit0^bit1).
+  const __m256i bit0 = _mm256_cmpeq_epi32(_mm256_and_si256(quadrant, one), one);
+  const __m256i bit1 = _mm256_cmpeq_epi32(_mm256_and_si256(quadrant, two), two);
+  const __m256i sin_base = _mm256_blendv_epi8(fwd, mir, bit0);
+  const __m256i cos_base = _mm256_blendv_epi8(mir, fwd, bit0);
+  sin_v = _mm256_blendv_epi8(sin_base, _mm256_sub_epi32(zero, sin_base), bit1);
+  cos_v = _mm256_blendv_epi8(cos_base, _mm256_sub_epi32(zero, cos_base),
+                             _mm256_xor_si256(bit0, bit1));
+}
+}  // namespace detail
+#endif
+
 #if defined(TWIDDC_HAVE_AVX512_KERNELS)
 namespace detail {
-/// 16 phases per iteration; same quadrant algebra as the AVX2 path, with the
-/// blend/negate selectors as __mmask16 predicates instead of byte masks.
+/// 16-phase lut_sincos8: same quadrant algebra, with the blend/negate
+/// selectors as __mmask16 predicates instead of byte masks.
+TWIDDC_AVX512_TARGET inline void lut_sincos16(__m512i vphase, const std::int32_t* table,
+                                              __m512i vmask, __m128i shift,
+                                              __m512i& cos_v, __m512i& sin_v) {
+  const __m512i zero = _mm512_setzero_si512();
+  const __m512i quadrant = _mm512_srli_epi32(vphase, 30);
+  const __m512i index = _mm512_and_si512(_mm512_srl_epi32(vphase, shift), vmask);
+  const __m512i fwd = _mm512_i32gather_epi32(index, table, 4);
+  const __m512i mir = _mm512_i32gather_epi32(_mm512_sub_epi32(vmask, index), table, 4);
+  const __mmask16 bit0 = _mm512_test_epi32_mask(quadrant, _mm512_set1_epi32(1));
+  const __mmask16 bit1 = _mm512_test_epi32_mask(quadrant, _mm512_set1_epi32(2));
+  const __m512i sin_base = _mm512_mask_blend_epi32(bit0, fwd, mir);
+  const __m512i cos_base = _mm512_mask_blend_epi32(bit0, mir, fwd);
+  sin_v = _mm512_mask_sub_epi32(sin_base, bit1, zero, sin_base);
+  cos_v = _mm512_mask_sub_epi32(cos_base, bit0 ^ bit1, zero, cos_base);
+}
+
+/// 16 phases per iteration through lut_sincos16.
 TWIDDC_AVX512_TARGET inline std::uint32_t lut_sincos_avx512(
     std::uint32_t phase, std::uint32_t step, const std::int32_t* table,
     int table_bits, std::size_t n, std::int32_t* cos_out, std::int32_t* sin_out) {
-  const std::uint32_t mask = (std::uint32_t{1} << table_bits) - 1;
-  const int shift = 30 - table_bits;
-  const __m512i vmask = _mm512_set1_epi32(static_cast<int>(mask));
-  const __m512i zero = _mm512_setzero_si512();
-  const __m512i one = _mm512_set1_epi32(1);
-  const __m512i two = _mm512_set1_epi32(2);
+  const __m512i vmask = _mm512_set1_epi32((1 << table_bits) - 1);
+  const __m128i shift = _mm_cvtsi32_si128(30 - table_bits);
   __m512i vphase = _mm512_add_epi32(
       _mm512_set1_epi32(static_cast<int>(phase)),
       _mm512_mullo_epi32(
@@ -390,22 +438,9 @@ TWIDDC_AVX512_TARGET inline std::uint32_t lut_sincos_avx512(
   const __m512i vstep16 = _mm512_set1_epi32(static_cast<int>(step * 16u));
   std::size_t k = 0;
   for (; k + 16 <= n; k += 16) {
-    const __m512i quadrant = _mm512_srli_epi32(vphase, 30);
-    const __m512i index = _mm512_and_si512(
-        _mm512_srl_epi32(vphase, _mm_cvtsi32_si128(shift)), vmask);
-    const __m512i fwd = _mm512_i32gather_epi32(index, table, 4);
-    const __m512i mir =
-        _mm512_i32gather_epi32(_mm512_sub_epi32(vmask, index), table, 4);
-    // Quadrant bit 0 swaps fwd/mir; sin negates in quadrants 2,3 (bit 1),
-    // cos in 1,2 (bit0 ^ bit1) -- the scalar switch, predicated.
-    const __mmask16 bit0 = _mm512_test_epi32_mask(quadrant, one);
-    const __mmask16 bit1 = _mm512_test_epi32_mask(quadrant, two);
-    const __m512i sin_base = _mm512_mask_blend_epi32(bit0, fwd, mir);
-    const __m512i cos_base = _mm512_mask_blend_epi32(bit0, mir, fwd);
-    const __m512i sin_v = _mm512_mask_sub_epi32(sin_base, bit1, zero, sin_base);
-    const __mmask16 cos_neg = bit0 ^ bit1;
-    const __m512i cos_v =
-        _mm512_mask_sub_epi32(cos_base, cos_neg, zero, cos_base);
+    __m512i cos_v;
+    __m512i sin_v;
+    lut_sincos16(vphase, table, vmask, shift, cos_v, sin_v);
     _mm512_storeu_si512(sin_out + k, sin_v);
     _mm512_storeu_si512(cos_out + k, cos_v);
     vphase = _mm512_add_epi32(vphase, vstep16);
@@ -428,13 +463,8 @@ inline std::uint32_t lut_sincos_block(std::uint32_t phase, std::uint32_t step,
 #endif
 #if defined(__AVX2__)
   if (enabled() && n >= 16) {
-    const std::uint32_t mask = (std::uint32_t{1} << table_bits) - 1;
-    const int shift = 30 - table_bits;
-    const __m256i vmask = _mm256_set1_epi32(static_cast<int>(mask));
-    const __m256i vtop = vmask;
-    const __m256i zero = _mm256_setzero_si256();
-    const __m256i one = _mm256_set1_epi32(1);
-    const __m256i two = _mm256_set1_epi32(2);
+    const __m256i vmask = _mm256_set1_epi32((1 << table_bits) - 1);
+    const __m128i shift = _mm_cvtsi32_si128(30 - table_bits);
     __m256i vphase = _mm256_add_epi32(
         _mm256_set1_epi32(static_cast<int>(phase)),
         _mm256_mullo_epi32(_mm256_set1_epi32(static_cast<int>(step)),
@@ -442,23 +472,9 @@ inline std::uint32_t lut_sincos_block(std::uint32_t phase, std::uint32_t step,
     const __m256i vstep8 = _mm256_set1_epi32(static_cast<int>(step * 8u));
     std::size_t k = 0;
     for (; k + 8 <= n; k += 8) {
-      const __m256i quadrant = _mm256_srli_epi32(vphase, 30);
-      const __m256i index =
-          _mm256_and_si256(_mm256_srli_epi32(vphase, shift), vmask);
-      const __m256i fwd = _mm256_i32gather_epi32(table, index, 4);
-      const __m256i mir =
-          _mm256_i32gather_epi32(table, _mm256_sub_epi32(vtop, index), 4);
-      // Quadrant bit 0 swaps fwd/mir; the negation masks follow the scalar
-      // switch: sin negates in quadrants 2,3 (bit 1), cos in 1,2 (bit0^bit1).
-      const __m256i bit0 = _mm256_cmpeq_epi32(_mm256_and_si256(quadrant, one), one);
-      const __m256i bit1 = _mm256_cmpeq_epi32(_mm256_and_si256(quadrant, two), two);
-      const __m256i sin_base = _mm256_blendv_epi8(fwd, mir, bit0);
-      const __m256i cos_base = _mm256_blendv_epi8(mir, fwd, bit0);
-      const __m256i sin_v =
-          _mm256_blendv_epi8(sin_base, _mm256_sub_epi32(zero, sin_base), bit1);
-      const __m256i cos_neg = _mm256_xor_si256(bit0, bit1);
-      const __m256i cos_v =
-          _mm256_blendv_epi8(cos_base, _mm256_sub_epi32(zero, cos_base), cos_neg);
+      __m256i cos_v;
+      __m256i sin_v;
+      detail::lut_sincos8(vphase, table, vmask, shift, cos_v, sin_v);
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(sin_out + k), sin_v);
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(cos_out + k), cos_v);
       vphase = _mm256_add_epi32(vphase, vstep8);
@@ -615,6 +631,508 @@ inline void mul_shift_narrow_block(const std::int64_t* x, const std::int32_t* m,
 #endif
   (void)narrow_ok;
   mul_shift_narrow_scalar(x, m, n, shift, bits, rounding, overflow, out);
+}
+
+// ------------------------------------------------- int32 fused front end
+//
+// One pass per input sample: NCO phase -> quarter-LUT cos/sin -> mixer
+// multiply, round and saturate -> the first CIC's integrator cascade, on
+// both rails, with every intermediate in int32 registers.  Only the CIC's
+// decimation instants leave the registers: there the combs run and the CIC
+// output is stored.
+//
+// Exactness preconditions (the caller checks them on the plan):
+//   * input_bits + nco_amplitude_bits <= 32, so |x * cos| <= 2^30 and the
+//     product plus its rounding constant fit int32 exactly;
+//   * lo/hi are the saturation bounds of the mixer's (<= 31-bit) bus;
+//   * the first CIC is unpruned with a register width W <= 32.  Its
+//     registers wrap mod 2^W; int32 adds wrap mod 2^32, and reducing mod 2^W
+//     afterwards gives the same residue (Hogenauer 1981), so the comb output
+//     sign-extended from W bits equals dsp::CicDecimator's.
+//
+// Lane groups put one channel per lane: the input sample is broadcast, each
+// lane keeps its own phase and tuning word, and all lanes share the CIC
+// decimation phase.  One lane runs along time instead, 8 or 16 samples per
+// register, with the integrators as in-register prefix sums.
+
+/// Datapath constants shared by every lane of a call.
+struct FrontEnd32 {
+  const std::int32_t* table = nullptr;  ///< quarter-wave LUT, 2^table_bits entries
+  int table_bits = 0;
+  int shift = 0;               ///< mixer product right shift
+  std::int32_t round_add = 0;  ///< 2^(shift-1) under kNearest, else 0
+  std::int32_t lo = 0;         ///< mixer saturation bounds
+  std::int32_t hi = 0;
+  int stages = 1;         ///< first-CIC order N, 1..8
+  int decimation = 1;     ///< first-CIC decimation R
+  int diff_delay = 1;     ///< first-CIC differential delay M, 1 or 2
+  int register_bits = 32; ///< first-CIC register width W, <= 32
+};
+
+/// One channel's running state: NCO phase and tuning word, and the first
+/// CIC's integrators and comb delay lines per rail (rail 0 = I = x*cos,
+/// rail 1 = Q = x*sin), all held mod 2^32.
+struct FrontLane32 {
+  std::uint32_t phase = 0;
+  std::uint32_t step = 0;
+  std::uint32_t integ[2][8] = {};  ///< [rail][stage]
+  std::uint32_t comb[2][16] = {};  ///< [rail][stage * M + d], d = 0 newest
+};
+
+/// The comb chain of one rail at a decimation instant: cascade output `v`
+/// in, CIC output (sign-extended from W bits) out.
+inline std::int32_t front32_comb(const FrontEnd32& c, std::uint32_t* line,
+                                 std::uint32_t v) {
+  for (int s = 0; s < c.stages; ++s, line += c.diff_delay) {
+    const std::uint32_t delayed = line[c.diff_delay - 1];
+    if (c.diff_delay == 2) line[1] = line[0];
+    line[0] = v;
+    v -= delayed;
+  }
+  const int unused = 32 - c.register_bits;
+  return static_cast<std::int32_t>(v << unused) >> unused;
+}
+
+/// Scalar realisation, any lane count: the reference the vector kernels
+/// match, the kill-switch path, and the vector kernels' tail.  Lanes run one
+/// after another over the whole input, each on a local copy of its state.
+inline std::size_t front32_scalar(const FrontEnd32& c, FrontLane32* const lanes[], int L,
+                                  const std::int64_t* in, std::size_t n, int& count,
+                                  std::int32_t* out) {
+  const std::uint32_t mask = (std::uint32_t{1} << c.table_bits) - 1;
+  const int tshift = 30 - c.table_bits;
+  std::size_t k = 0;
+  int lane_count = count;
+  for (int l = 0; l < L; ++l) {
+    FrontLane32 ln = *lanes[l];
+    lane_count = count;
+    k = 0;
+    for (std::size_t t = 0; t < n; ++t) {
+      const std::uint32_t quadrant = ln.phase >> 30;
+      const std::uint32_t index = (ln.phase >> tshift) & mask;
+      const std::int32_t fwd = c.table[index];
+      const std::int32_t mir = c.table[mask - index];
+      const std::int32_t sin_v = quadrant & 1 ? mir : fwd;
+      const std::int32_t cos_v = quadrant & 1 ? fwd : mir;
+      const std::int32_t nco[2] = {(quadrant == 1 || quadrant == 2) ? -cos_v : cos_v,
+                                   quadrant >= 2 ? -sin_v : sin_v};
+      ln.phase += ln.step;
+      std::uint32_t v[2];
+      for (int r = 0; r < 2; ++r) {
+        std::int32_t p = (static_cast<std::int32_t>(in[t]) * nco[r] + c.round_add) >> c.shift;
+        p = p < c.lo ? c.lo : (p > c.hi ? c.hi : p);
+        v[r] = static_cast<std::uint32_t>(p);
+        for (int s = 0; s < c.stages; ++s) v[r] = ln.integ[r][s] += v[r];
+      }
+      if (++lane_count < c.decimation) continue;
+      lane_count = 0;
+      for (int r = 0; r < 2; ++r)
+        out[(k * 2 + static_cast<std::size_t>(r)) * static_cast<std::size_t>(L) +
+            static_cast<std::size_t>(l)] = front32_comb(c, ln.comb[r], v[r]);
+      ++k;
+    }
+    *lanes[l] = ln;
+  }
+  count = lane_count;
+  return k;
+}
+
+#if defined(__AVX2__)
+namespace detail {
+
+/// Calls f(std::integral_constant<int, N>{}) for the runtime stage count, so
+/// the cascade unrolls with its state in registers.
+template <typename F>
+inline auto with_stages(int stages, F&& f) {
+  switch (stages) {
+    case 1: return f(std::integral_constant<int, 1>{});
+    case 2: return f(std::integral_constant<int, 2>{});
+    case 3: return f(std::integral_constant<int, 3>{});
+    case 4: return f(std::integral_constant<int, 4>{});
+    case 5: return f(std::integral_constant<int, 5>{});
+    case 6: return f(std::integral_constant<int, 6>{});
+    case 7: return f(std::integral_constant<int, 7>{});
+    default: return f(std::integral_constant<int, 8>{});
+  }
+}
+
+/// Inclusive prefix sum of 8 int32 lanes, mod 2^32.
+inline __m256i prefix_sum8(__m256i v) {
+  v = _mm256_add_epi32(v, _mm256_slli_si256(v, 4));
+  v = _mm256_add_epi32(v, _mm256_slli_si256(v, 8));
+  // Carry the low half's total into the high half.
+  const __m256i low_total = _mm256_shuffle_epi32(v, 0xFF);
+  return _mm256_add_epi32(v, _mm256_permute2x128_si256(low_total, low_total, 0x08));
+}
+
+/// Picks the decimation instants out of a tile's cascade outputs (sample j
+/// is one when count + j + 1 is a multiple of R) and combs them.
+inline std::size_t front32_pick(const FrontEnd32& c, FrontLane32& ln,
+                                const std::int32_t* const cascade[2], std::size_t m,
+                                int& count, std::int32_t* out) {
+  const auto decimation = static_cast<std::size_t>(c.decimation);
+  std::size_t k = 0;
+  for (std::size_t j = decimation - 1 - static_cast<std::size_t>(count); j < m;
+       j += decimation, ++k)
+    for (int r = 0; r < 2; ++r)
+      out[2 * k + static_cast<std::size_t>(r)] =
+          front32_comb(c, ln.comb[r], static_cast<std::uint32_t>(cascade[r][j]));
+  count = static_cast<int>((static_cast<std::size_t>(count) + m) % decimation);
+  return k;
+}
+
+/// Channel-per-lane kernel, L = 4 or 8 lanes, AVX2.  Each step computes the
+/// lanes' cos/sin from one 8-phase LUT pass (L = 4 duplicates the phases so
+/// one register holds [I lanes | Q lanes]; L = 8 keeps I and Q apart).
+template <int N, int L>
+inline std::size_t front32_lanes_avx2(const FrontEnd32& c, FrontLane32* const lanes[],
+                                      const std::int64_t* in, std::size_t n, int& count,
+                                      std::int32_t* out) {
+  constexpr int kRegs = L / 4;  // registers per stage: the 2L slots r*L + l
+  alignas(32) std::uint32_t ph[8];
+  alignas(32) std::uint32_t st[8];
+  for (int j = 0; j < 8; ++j) {
+    ph[j] = lanes[j % L]->phase;
+    st[j] = lanes[j % L]->step;
+  }
+  const int delay = c.diff_delay;
+  alignas(32) std::uint32_t slots[16];
+  const auto load = [&](auto get) {
+    for (int r = 0; r < 2; ++r)
+      for (int l = 0; l < L; ++l) slots[r * L + l] = get(*lanes[l], r);
+  };
+  const auto store = [&](auto put) {
+    for (int r = 0; r < 2; ++r)
+      for (int l = 0; l < L; ++l) put(*lanes[l], r, slots[r * L + l]);
+  };
+  __m256i acc[N][kRegs];
+  __m256i comb[N][2][kRegs] = {};
+  for (int s = 0; s < N; ++s) {
+    load([&](const FrontLane32& ln, int r) { return ln.integ[r][s]; });
+    for (int g = 0; g < kRegs; ++g)
+      acc[s][g] = _mm256_load_si256(reinterpret_cast<const __m256i*>(slots + 8 * g));
+    for (int d = 0; d < delay; ++d) {
+      load([&](const FrontLane32& ln, int r) { return ln.comb[r][s * delay + d]; });
+      for (int g = 0; g < kRegs; ++g)
+        comb[s][d][g] = _mm256_load_si256(reinterpret_cast<const __m256i*>(slots + 8 * g));
+    }
+  }
+  __m256i vphase = _mm256_load_si256(reinterpret_cast<const __m256i*>(ph));
+  const __m256i vstep = _mm256_load_si256(reinterpret_cast<const __m256i*>(st));
+  const __m256i vmask = _mm256_set1_epi32((1 << c.table_bits) - 1);
+  const __m128i tshift = _mm_cvtsi32_si128(30 - c.table_bits);
+  const __m256i round = _mm256_set1_epi32(c.round_add);
+  const __m128i mshift = _mm_cvtsi32_si128(c.shift);
+  const __m256i lo = _mm256_set1_epi32(c.lo);
+  const __m256i hi = _mm256_set1_epi32(c.hi);
+  const __m128i unused = _mm_cvtsi32_si128(32 - c.register_bits);
+  const auto decimation = static_cast<std::size_t>(c.decimation);
+  std::size_t k = 0;
+  for (std::size_t t = 0; t < n;) {
+    // Run up to the next decimation instant without a per-sample branch.
+    const std::size_t end =
+        t + std::min(n - t, decimation - static_cast<std::size_t>(count));
+    count += static_cast<int>(end - t);
+    for (; t < end; ++t) {
+      __m256i cos_v;
+      __m256i sin_v;
+      lut_sincos8(vphase, c.table, vmask, tshift, cos_v, sin_v);
+      vphase = _mm256_add_epi32(vphase, vstep);
+      const __m256i x = _mm256_set1_epi32(static_cast<std::int32_t>(in[t]));
+      __m256i v[kRegs];
+      if constexpr (L == 4) {
+        v[0] = _mm256_blend_epi32(cos_v, sin_v, 0xF0);
+      } else {
+        v[0] = cos_v;
+        v[1] = sin_v;
+      }
+      for (int g = 0; g < kRegs; ++g) {
+        v[g] = _mm256_sra_epi32(_mm256_add_epi32(_mm256_mullo_epi32(x, v[g]), round),
+                                mshift);
+        v[g] = _mm256_min_epi32(_mm256_max_epi32(v[g], lo), hi);
+        acc[0][g] = _mm256_add_epi32(acc[0][g], v[g]);
+        for (int s = 1; s < N; ++s) acc[s][g] = _mm256_add_epi32(acc[s][g], acc[s - 1][g]);
+      }
+    }
+    if (count == c.decimation) {
+      count = 0;
+      for (int g = 0; g < kRegs; ++g) {
+        __m256i y = acc[N - 1][g];
+        for (int s = 0; s < N; ++s) {
+          const __m256i delayed = comb[s][delay - 1][g];
+          comb[s][1][g] = comb[s][0][g];  // dead when M = 1
+          comb[s][0][g] = y;
+          y = _mm256_sub_epi32(y, delayed);
+        }
+        y = _mm256_sra_epi32(_mm256_sll_epi32(y, unused), unused);
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + k * 2 * L + 8 * g), y);
+      }
+      ++k;
+    }
+  }
+  _mm256_store_si256(reinterpret_cast<__m256i*>(ph), vphase);
+  for (int l = 0; l < L; ++l) lanes[l]->phase = ph[l];
+  for (int s = 0; s < N; ++s) {
+    for (int g = 0; g < kRegs; ++g)
+      _mm256_store_si256(reinterpret_cast<__m256i*>(slots + 8 * g), acc[s][g]);
+    store([&](FrontLane32& ln, int r, std::uint32_t v) { ln.integ[r][s] = v; });
+    for (int d = 0; d < delay; ++d) {
+      for (int g = 0; g < kRegs; ++g)
+        _mm256_store_si256(reinterpret_cast<__m256i*>(slots + 8 * g), comb[s][d][g]);
+      store([&](FrontLane32& ln, int r, std::uint32_t v) { ln.comb[r][s * delay + d] = v; });
+    }
+  }
+  return k;
+}
+
+/// One lane along time, AVX2: 8 samples per register, each rail's cascade
+/// as N in-register prefix sums seeded with the previous register's last
+/// lane.  A tile's cascade outputs land in an L1 scratch, from which
+/// front32_pick keeps every R-th; the < 8-sample tail runs front32_scalar.
+template <int N>
+inline std::size_t front32_one_avx2(const FrontEnd32& c, FrontLane32& ln,
+                                    const std::int64_t* in, std::size_t n, int& count,
+                                    std::int32_t* out) {
+  constexpr std::size_t kTile = 1024;
+  alignas(32) std::int32_t cascade[2][kTile];
+  const std::int32_t* const rails[2] = {cascade[0], cascade[1]};
+  const __m256i vmask = _mm256_set1_epi32((1 << c.table_bits) - 1);
+  const __m128i tshift = _mm_cvtsi32_si128(30 - c.table_bits);
+  const __m256i round = _mm256_set1_epi32(c.round_add);
+  const __m128i mshift = _mm_cvtsi32_si128(c.shift);
+  const __m256i lo = _mm256_set1_epi32(c.lo);
+  const __m256i hi = _mm256_set1_epi32(c.hi);
+  const __m256i last = _mm256_set1_epi32(7);
+  const __m256i low_dwords = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
+  const __m256i vstep8 = _mm256_set1_epi32(static_cast<std::int32_t>(ln.step * 8u));
+  std::size_t k = 0;
+  std::size_t t = 0;
+  while (n - t >= 8) {
+    const std::size_t m = std::min(kTile, (n - t) & ~std::size_t{7});
+    __m256i vphase = _mm256_add_epi32(
+        _mm256_set1_epi32(static_cast<std::int32_t>(ln.phase)),
+        _mm256_mullo_epi32(_mm256_set1_epi32(static_cast<std::int32_t>(ln.step)),
+                           _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7)));
+    __m256i carry[2][N];
+    for (int r = 0; r < 2; ++r)
+      for (int s = 0; s < N; ++s)
+        carry[r][s] = _mm256_set1_epi32(static_cast<std::int32_t>(ln.integ[r][s]));
+    for (std::size_t j = 0; j < m; j += 8) {
+      __m256i nco[2];
+      lut_sincos8(vphase, c.table, vmask, tshift, nco[0], nco[1]);
+      vphase = _mm256_add_epi32(vphase, vstep8);
+      // The low dwords of 8 int64 inputs (each fits int32).
+      const __m256i x = _mm256_permute2x128_si256(
+          _mm256_permutevar8x32_epi32(
+              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + t + j)), low_dwords),
+          _mm256_permutevar8x32_epi32(
+              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + t + j + 4)),
+              low_dwords),
+          0x20);
+      for (int r = 0; r < 2; ++r) {
+        __m256i v = _mm256_sra_epi32(
+            _mm256_add_epi32(_mm256_mullo_epi32(x, nco[r]), round), mshift);
+        v = _mm256_min_epi32(_mm256_max_epi32(v, lo), hi);
+        for (int s = 0; s < N; ++s) {
+          v = _mm256_add_epi32(prefix_sum8(v), carry[r][s]);
+          carry[r][s] = _mm256_permutevar8x32_epi32(v, last);
+        }
+        _mm256_store_si256(reinterpret_cast<__m256i*>(cascade[r] + j), v);
+      }
+    }
+    ln.phase += static_cast<std::uint32_t>(m) * ln.step;
+    for (int r = 0; r < 2; ++r)
+      for (int s = 0; s < N; ++s)
+        ln.integ[r][s] = static_cast<std::uint32_t>(_mm256_cvtsi256_si32(carry[r][s]));
+    k += front32_pick(c, ln, rails, m, count, out + 2 * k);
+    t += m;
+  }
+  FrontLane32* self = &ln;
+  return k + front32_scalar(c, &self, 1, in + t, n - t, count, out + 2 * k);
+}
+
+}  // namespace detail
+#endif
+
+#if defined(TWIDDC_HAVE_AVX512_KERNELS)
+namespace detail {
+
+/// Eight channels, AVX-512: one 8-phase LUT pass per sample, then one
+/// 512-bit register per stage holding the 16 slots [I lanes | Q lanes].
+template <int N>
+TWIDDC_AVX512_TARGET inline std::size_t front32_lanes8_avx512(
+    const FrontEnd32& c, FrontLane32* const lanes[], const std::int64_t* in,
+    std::size_t n, int& count, std::int32_t* out) {
+  alignas(32) std::uint32_t ph[8];
+  alignas(32) std::uint32_t st[8];
+  for (int l = 0; l < 8; ++l) {
+    ph[l] = lanes[l]->phase;
+    st[l] = lanes[l]->step;
+  }
+  const int delay = c.diff_delay;
+  alignas(64) std::uint32_t slots[16];
+  __m512i acc[N];
+  __m512i comb[N][2] = {};
+  for (int s = 0; s < N; ++s) {
+    for (int j = 0; j < 16; ++j) slots[j] = lanes[j % 8]->integ[j / 8][s];
+    acc[s] = _mm512_load_si512(slots);
+    for (int d = 0; d < delay; ++d) {
+      for (int j = 0; j < 16; ++j) slots[j] = lanes[j % 8]->comb[j / 8][s * delay + d];
+      comb[s][d] = _mm512_load_si512(slots);
+    }
+  }
+  __m256i vphase = _mm256_load_si256(reinterpret_cast<const __m256i*>(ph));
+  const __m256i vstep = _mm256_load_si256(reinterpret_cast<const __m256i*>(st));
+  const __m256i vmask = _mm256_set1_epi32((1 << c.table_bits) - 1);
+  const __m128i tshift = _mm_cvtsi32_si128(30 - c.table_bits);
+  const __m512i round = _mm512_set1_epi32(c.round_add);
+  const __m128i mshift = _mm_cvtsi32_si128(c.shift);
+  const __m512i lo = _mm512_set1_epi32(c.lo);
+  const __m512i hi = _mm512_set1_epi32(c.hi);
+  const __m128i unused = _mm_cvtsi32_si128(32 - c.register_bits);
+  const auto decimation = static_cast<std::size_t>(c.decimation);
+  std::size_t k = 0;
+  for (std::size_t t = 0; t < n;) {
+    const std::size_t end =
+        t + std::min(n - t, decimation - static_cast<std::size_t>(count));
+    count += static_cast<int>(end - t);
+    for (; t < end; ++t) {
+      __m256i cos_v;
+      __m256i sin_v;
+      lut_sincos8(vphase, c.table, vmask, tshift, cos_v, sin_v);
+      vphase = _mm256_add_epi32(vphase, vstep);
+      const __m512i nco = _mm512_inserti64x4(_mm512_castsi256_si512(cos_v), sin_v, 1);
+      __m512i v = _mm512_mullo_epi32(_mm512_set1_epi32(static_cast<std::int32_t>(in[t])), nco);
+      v = _mm512_sra_epi32(_mm512_add_epi32(v, round), mshift);
+      v = _mm512_min_epi32(_mm512_max_epi32(v, lo), hi);
+      acc[0] = _mm512_add_epi32(acc[0], v);
+      for (int s = 1; s < N; ++s) acc[s] = _mm512_add_epi32(acc[s], acc[s - 1]);
+    }
+    if (count == c.decimation) {
+      count = 0;
+      __m512i y = acc[N - 1];
+      for (int s = 0; s < N; ++s) {
+        const __m512i delayed = comb[s][delay - 1];
+        comb[s][1] = comb[s][0];  // dead when M = 1
+        comb[s][0] = y;
+        y = _mm512_sub_epi32(y, delayed);
+      }
+      _mm512_storeu_si512(out + k * 16,
+                          _mm512_sra_epi32(_mm512_sll_epi32(y, unused), unused));
+      ++k;
+    }
+  }
+  _mm256_store_si256(reinterpret_cast<__m256i*>(ph), vphase);
+  for (int l = 0; l < 8; ++l) lanes[l]->phase = ph[l];
+  for (int s = 0; s < N; ++s) {
+    _mm512_store_si512(slots, acc[s]);
+    for (int j = 0; j < 16; ++j) lanes[j % 8]->integ[j / 8][s] = slots[j];
+    for (int d = 0; d < delay; ++d) {
+      _mm512_store_si512(slots, comb[s][d]);
+      for (int j = 0; j < 16; ++j) lanes[j % 8]->comb[j / 8][s * delay + d] = slots[j];
+    }
+  }
+  return k;
+}
+
+/// Inclusive prefix sum of 16 int32 lanes, mod 2^32.
+TWIDDC_AVX512_TARGET inline __m512i prefix_sum16(__m512i v) {
+  const __m512i zero = _mm512_setzero_si512();
+  v = _mm512_add_epi32(v, _mm512_alignr_epi32(v, zero, 15));
+  v = _mm512_add_epi32(v, _mm512_alignr_epi32(v, zero, 14));
+  v = _mm512_add_epi32(v, _mm512_alignr_epi32(v, zero, 12));
+  return _mm512_add_epi32(v, _mm512_alignr_epi32(v, zero, 8));
+}
+
+/// One lane along time, AVX-512: front32_one_avx2 at 16 samples per register.
+template <int N>
+TWIDDC_AVX512_TARGET inline std::size_t front32_one_avx512(
+    const FrontEnd32& c, FrontLane32& ln, const std::int64_t* in, std::size_t n,
+    int& count, std::int32_t* out) {
+  constexpr std::size_t kTile = 1024;
+  alignas(64) std::int32_t cascade[2][kTile];
+  const std::int32_t* const rails[2] = {cascade[0], cascade[1]};
+  const __m512i vmask = _mm512_set1_epi32((1 << c.table_bits) - 1);
+  const __m128i tshift = _mm_cvtsi32_si128(30 - c.table_bits);
+  const __m512i round = _mm512_set1_epi32(c.round_add);
+  const __m128i mshift = _mm_cvtsi32_si128(c.shift);
+  const __m512i lo = _mm512_set1_epi32(c.lo);
+  const __m512i hi = _mm512_set1_epi32(c.hi);
+  const __m512i last = _mm512_set1_epi32(15);
+  const __m512i vstep16 = _mm512_set1_epi32(static_cast<std::int32_t>(ln.step * 16u));
+  std::size_t k = 0;
+  std::size_t t = 0;
+  while (n - t >= 16) {
+    const std::size_t m = std::min(kTile, (n - t) & ~std::size_t{15});
+    __m512i vphase = _mm512_add_epi32(
+        _mm512_set1_epi32(static_cast<std::int32_t>(ln.phase)),
+        _mm512_mullo_epi32(_mm512_set1_epi32(static_cast<std::int32_t>(ln.step)),
+                           _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
+                                             13, 14, 15)));
+    __m512i carry[2][N];
+    for (int r = 0; r < 2; ++r)
+      for (int s = 0; s < N; ++s)
+        carry[r][s] = _mm512_set1_epi32(static_cast<std::int32_t>(ln.integ[r][s]));
+    for (std::size_t j = 0; j < m; j += 16) {
+      __m512i nco[2];
+      lut_sincos16(vphase, c.table, vmask, tshift, nco[0], nco[1]);
+      vphase = _mm512_add_epi32(vphase, vstep16);
+      const __m512i x = _mm512_inserti64x4(
+          _mm512_castsi256_si512(_mm512_cvtepi64_epi32(_mm512_loadu_si512(in + t + j))),
+          _mm512_cvtepi64_epi32(_mm512_loadu_si512(in + t + j + 8)), 1);
+      for (int r = 0; r < 2; ++r) {
+        __m512i v = _mm512_mullo_epi32(x, nco[r]);
+        v = _mm512_sra_epi32(_mm512_add_epi32(v, round), mshift);
+        v = _mm512_min_epi32(_mm512_max_epi32(v, lo), hi);
+        for (int s = 0; s < N; ++s) {
+          v = _mm512_add_epi32(prefix_sum16(v), carry[r][s]);
+          carry[r][s] = _mm512_permutexvar_epi32(last, v);
+        }
+        _mm512_store_si512(cascade[r] + j, v);
+      }
+    }
+    ln.phase += static_cast<std::uint32_t>(m) * ln.step;
+    for (int r = 0; r < 2; ++r)
+      for (int s = 0; s < N; ++s)
+        ln.integ[r][s] = static_cast<std::uint32_t>(
+            _mm_cvtsi128_si32(_mm512_castsi512_si128(carry[r][s])));
+    k += front32_pick(c, ln, rails, m, count, out + 2 * k);
+    t += m;
+  }
+  FrontLane32* self = &ln;
+  return k + front32_scalar(c, &self, 1, in + t, n - t, count, out + 2 * k);
+}
+
+}  // namespace detail
+#endif
+
+/// Runs L (1, 4 or 8) channels over n input samples.  `count` is the
+/// inputs since the last decimation instant, in [0, R), shared by the
+/// lanes and advanced.  At the k-th instant the kernel writes lane l's
+/// rail-r CIC output to out[(2k + r) * L + l] (room for n/R + 1 instants);
+/// returns the number of instants.  Bit-exact with front32_scalar on every
+/// tier; the kill switch selects it.
+inline std::size_t front32(const FrontEnd32& c, FrontLane32* const lanes[], int L,
+                           const std::int64_t* in, std::size_t n, int& count,
+                           std::int32_t* out) {
+#if defined(TWIDDC_HAVE_AVX512_KERNELS)
+  if (avx512_active() && (L == 1 || L == 8))
+    return detail::with_stages(c.stages, [&](auto stages) {
+      constexpr int N = decltype(stages)::value;
+      return L == 1 ? detail::front32_one_avx512<N>(c, *lanes[0], in, n, count, out)
+                    : detail::front32_lanes8_avx512<N>(c, lanes, in, n, count, out);
+    });
+#endif
+#if defined(__AVX2__)
+  if (enabled() && (L == 1 || L == 4 || L == 8))
+    return detail::with_stages(c.stages, [&](auto stages) {
+      constexpr int N = decltype(stages)::value;
+      if (L == 1) return detail::front32_one_avx2<N>(c, *lanes[0], in, n, count, out);
+      return L == 4 ? detail::front32_lanes_avx2<N, 4>(c, lanes, in, n, count, out)
+                    : detail::front32_lanes_avx2<N, 8>(c, lanes, in, n, count, out);
+    });
+#endif
+  return front32_scalar(c, lanes, L, in, n, count, out);
 }
 
 // ----------------------------------------------- cross-channel packed dots

@@ -15,11 +15,9 @@
 namespace twiddc::core {
 namespace {
 
-// Fused tiles are sized so one tile's worth of every intermediate (cos/sin
-// int32, two mixed rails, the rail ping-pong buffers) stays L1/L2-resident:
-// ~40 KB total at 1024 samples.  The staged path materialises the same
-// intermediates at full block size (a megabyte at the bench's 43k-sample
-// blocks), which is what the fusion removes.
+// The generic front end mixes and runs stage 0 in tiles of this many
+// samples, so a tile's cos/sin (int32) and two mixed rails (int64) -- 24 KB --
+// stay L1-resident; the staged path materialises them at block size.
 constexpr std::size_t kFuseTileSamples = 1024;
 
 /// Appends the raw bytes of one fixed-width field.
@@ -122,6 +120,34 @@ void pack_or_per_lane(int n, Packed packed, PerLane per_lane) {
     if (first + 4 <= n && packed(first, 4)) continue;
     for (int l = first; l < std::min(first + 4, n); ++l) per_lane(l);
   }
+}
+
+/// Register width of a CIC stage (0 = the Hogenauer full width).
+int cic_register_bits(const StageSpec& st) {
+  return st.register_bits != 0
+             ? st.register_bits
+             : st.input_bits + fixed::cic_bit_growth(st.cic_stages, st.decimation,
+                                                     st.diff_delay);
+}
+
+/// The plan's front end and first CIC are exact in int32 lanes (the
+/// preconditions of simd::front32): a LUT NCO, a mixer product of at most
+/// 32 bits, and an unpruned first CIC of at most 32 register bits.  Only
+/// builds that carry the AVX2 kernels take it; everything else -- Taylor
+/// NCOs, pruned CICs, wider products, portable builds -- runs the generic
+/// tile path.
+bool takes_front32(const ChainPlan& plan) {
+#if defined(__AVX2__)
+  const FrontEndSpec& fe = plan.front_end;
+  const StageSpec& st = plan.stages.front();
+  return fe.nco_mode == dsp::Nco::Mode::kLookupTable &&
+         fe.input_bits + fe.nco_amplitude_bits <= 32 && fe.mixer_out_bits <= 32 &&
+         st.kind == StageSpec::Kind::kCic && st.prune_shifts.empty() &&
+         cic_register_bits(st) <= 32;
+#else
+  (void)plan;
+  return false;
+#endif
 }
 
 }  // namespace
@@ -355,6 +381,8 @@ FusedChainExec::FusedChainExec(std::shared_ptr<const CompiledPlan> plan)
   const FrontEndSpec& fe = plan_->plan().front_end;
   mixer_shift_ = fe.input_bits + fe.nco_amplitude_bits - 1 - fe.mixer_out_bits;
   mixer_narrow_ok_ = fe.input_bits <= 32 && fe.nco_amplitude_bits <= 32;
+  front_.step = plan_->tuning_word();
+  front32_ = takes_front32(plan_->plan());
   build_stages();
 }
 
@@ -368,7 +396,7 @@ void FusedChainExec::build_stages() {
     st.kind = spec.kind;
     st.decimation = spec.decimation;
     st.req = Conditioning{spec.post_shift, spec.narrow_bits, spec.rounding};
-    if (spec.kind == StageSpec::Kind::kCic) {
+    if (spec.kind == StageSpec::Kind::kCic && !(i == 0 && front32_)) {
       dsp::CicDecimator::Config c;
       c.stages = spec.cic_stages;
       c.decimation = spec.decimation;
@@ -390,7 +418,9 @@ void FusedChainExec::build_stages() {
 }
 
 void FusedChainExec::reset() {
-  phase_ = 0;
+  front_ = simd::FrontLane32{};
+  front_.step = plan_->tuning_word();
+  count32_ = 0;
   for (StageState& st : stages_) {
     for (auto& c : st.cic) c.reset();
     st.tail[0].assign(st.tail[0].size(), 0);
@@ -416,6 +446,7 @@ void FusedChainExec::splice(std::shared_ptr<const CompiledPlan> next) {
     stages_[i].req = Conditioning{spec.post_shift, spec.narrow_bits, spec.rounding};
     if (stages_[i].taps) stages_[i].taps = next->stage_taps()[i];
   }
+  front_.step = next->tuning_word();
   plan_ = std::move(next);
 }
 
@@ -430,20 +461,21 @@ void FusedChainExec::swap_plan(const ChainPlan& plan, SwapMode mode) {
 
 void FusedChainExec::run_front_end(std::span<const std::int64_t> tile) {
   const FrontEndSpec& fe = plan_->plan().front_end;
-  const std::uint32_t step = plan_->tuning_word();
+  const std::uint32_t step = front_.step;
+  std::uint32_t& phase = front_.phase;
   const std::size_t m = tile.size();
   cos_tile_.resize(m);
   sin_tile_.resize(m);
   if (fe.nco_mode == dsp::Nco::Mode::kLookupTable) {
-    phase_ = simd::lut_sincos_block(phase_, step, plan_->sine_table()->data(),
+    phase = simd::lut_sincos_block(phase, step, plan_->sine_table()->data(),
                                     fe.nco_table_bits, m, cos_tile_.data(),
                                     sin_tile_.data());
   } else {
     for (std::size_t k = 0; k < m; ++k) {
-      const dsp::SinCos sc = dsp::taylor_sincos(phase_, fe.nco_amplitude_bits);
+      const dsp::SinCos sc = dsp::taylor_sincos(phase, fe.nco_amplitude_bits);
       cos_tile_[k] = sc.cos;
       sin_tile_[k] = sc.sin;
-      phase_ += step;
+      phase += step;
     }
   }
   for (int r = 0; r < 2; ++r) {
@@ -557,14 +589,71 @@ void FusedChainExec::run_stage(FusedChainExec* const lanes[], int n, std::size_t
   }
   // Output conditioning (shift/round/narrow) per lane; a passthrough has none.
   for (int l = 0; l < n; ++l) {
-    const Conditioning req = lanes[l]->stages_[s].req;
     if (st0.kind != StageSpec::Kind::kPassthrough)
-      for (std::int64_t& v : *out[l]) {
-        v = fixed::shift_right(v, req.shift, req.rounding);
-        if (req.bits != 0) v = fixed::narrow(v, req.bits, fixed::Overflow::kSaturate);
-      }
+      condition(*out[l], lanes[l]->stages_[s].req);
     cur[l] = *out[l];
   }
+}
+
+void FusedChainExec::condition(std::span<std::int64_t> v, const Conditioning& req) {
+  for (std::int64_t& x : v) {
+    x = fixed::shift_right(x, req.shift, req.rounding);
+    if (req.bits != 0) x = fixed::narrow(x, req.bits, fixed::Overflow::kSaturate);
+  }
+}
+
+simd::FrontEnd32 FusedChainExec::front32_config() const {
+  const FrontEndSpec& fe = plan_->plan().front_end;
+  const StageSpec& cic = plan_->plan().stages.front();
+  simd::FrontEnd32 c;
+  c.table = plan_->sine_table()->data();
+  c.table_bits = fe.nco_table_bits;
+  c.shift = mixer_shift_;
+  c.round_add = fe.mixer_rounding == fixed::Rounding::kNearest && mixer_shift_ > 0
+                    ? std::int32_t{1} << (mixer_shift_ - 1)
+                    : 0;
+  c.lo = static_cast<std::int32_t>(fixed::min_for_bits(fe.mixer_out_bits));
+  c.hi = static_cast<std::int32_t>(fixed::max_for_bits(fe.mixer_out_bits));
+  c.stages = cic.cic_stages;
+  c.decimation = cic.decimation;
+  c.diff_delay = cic.diff_delay;
+  c.register_bits = cic_register_bits(cic);
+  return c;
+}
+
+void FusedChainExec::run_front32(FusedChainExec* const lanes[], int n,
+                                 std::span<const std::int64_t> in) {
+  const simd::FrontEnd32 c = lanes[0]->front32_config();
+  thread_local std::vector<std::int32_t> raw;
+  raw.resize((in.size() / static_cast<std::size_t>(c.decimation) + 1) * 2 * kMaxLanes);
+  const auto run = [&](int first, int width) {
+    simd::FrontLane32* state[kMaxLanes];
+    for (int l = 0; l < width; ++l) state[l] = &lanes[first + l]->front_;
+    int count = lanes[first]->count32_;
+    const std::size_t k =
+        simd::front32(c, state, width, in.data(), in.size(), count, raw.data());
+    for (int l = 0; l < width; ++l) {
+      FusedChainExec& lane = *lanes[first + l];
+      lane.count32_ = count;
+      const Conditioning& req = lane.stages_[0].req;
+      for (int r = 0; r < 2; ++r) {
+        std::vector<std::int64_t>& rail = lane.front_out_[r];
+        rail.resize(k);
+        const std::int32_t* src = raw.data() + r * width + l;
+        for (std::size_t j = 0; j < k; ++j) rail[j] = src[j * 2 * width];
+        condition(rail, req);
+      }
+    }
+  };
+  pack_or_per_lane(
+      n,
+      [&](int first, int width) {
+        for (int l = first + 1; l < first + width; ++l)
+          if (lanes[l]->count32_ != lanes[first]->count32_) return false;
+        run(first, width);
+        return true;
+      },
+      [&](int l) { run(l, 1); });
 }
 
 void FusedChainExec::process_lanes(FusedChainExec* const lanes[], int n,
@@ -580,36 +669,53 @@ void FusedChainExec::process_lanes(FusedChainExec* const lanes[], int n,
       throw ConfigError("FusedChainExec::process_lanes: lanes differ in structure");
   // All-or-nothing input validation, exactly like the staged pipeline: a
   // mid-block throw must not leave any NCO advanced past its rails.
-  if (!in.empty()) {
-    std::int64_t lo = 0;
-    std::int64_t hi = 0;
-    simd::minmax_i64(in.data(), in.size(), lo, hi);
-    const int bits = lanes[0]->plan_->plan().front_end.input_bits;
-    if (!fixed::fits_bits(lo, bits) || !fixed::fits_bits(hi, bits))
-      throw SimulationError("FusedChainExec: input " +
-                            std::to_string(fixed::fits_bits(lo, bits) ? hi : lo) +
-                            " does not fit " + std::to_string(bits) + " bits");
+  const int bits = lanes[0]->plan_->plan().front_end.input_bits;
+  if (!simd::all_fit_bits(in.data(), in.size(), bits)) {
+    const auto bad = std::find_if(in.begin(), in.end(), [bits](std::int64_t v) {
+      return !fixed::fits_bits(v, bits);
+    });
+    throw SimulationError("FusedChainExec: input " + std::to_string(*bad) +
+                          " does not fit " + std::to_string(bits) + " bits");
   }
-  const std::size_t nstages = lanes[0]->stages_.size();
+  if (in.empty()) return;
 
+  // Stage 0 over the whole call, into each lane's front_out_.
+  for (int l = 0; l < n; ++l)
+    for (auto& rail : lanes[l]->front_out_) rail.clear();
   std::span<const std::int64_t> cur[2][kMaxLanes];
-  for (std::size_t off = 0; off < in.size(); off += kFuseTileSamples) {
-    const std::span<const std::int64_t> tile =
-        in.subspan(off, std::min(kFuseTileSamples, in.size() - off));
-    for (int l = 0; l < n; ++l) {
-      lanes[l]->run_front_end(tile);
-      cur[0][l] = lanes[l]->mix_tile_[0];
-      cur[1][l] = lanes[l]->mix_tile_[1];
+  if (lanes[0]->front32_) {
+    run_front32(lanes, n, in);
+  } else {
+    for (std::size_t off = 0; off < in.size(); off += kFuseTileSamples) {
+      const std::span<const std::int64_t> tile =
+          in.subspan(off, std::min(kFuseTileSamples, in.size() - off));
+      for (int l = 0; l < n; ++l) {
+        lanes[l]->run_front_end(tile);
+        cur[0][l] = lanes[l]->mix_tile_[0];
+        cur[1][l] = lanes[l]->mix_tile_[1];
+      }
+      for (int r = 0; r < 2; ++r) {
+        run_stage(lanes, n, 0, r, cur[r]);
+        for (int l = 0; l < n; ++l)
+          lanes[l]->front_out_[r].insert(lanes[l]->front_out_[r].end(), cur[r][l].begin(),
+                                         cur[r][l].end());
+      }
     }
-    for (std::size_t s = 0; s < nstages; ++s)
-      for (int r = 0; r < 2; ++r) run_stage(lanes, n, s, r, cur[r]);
-    for (int l = 0; l < n; ++l) {
-      if (cur[0][l].size() != cur[1][l].size())
-        throw SimulationError("FusedChainExec: I/Q rails lost rate lock");
-      out[l]->reserve(out[l]->size() + cur[0][l].size());
-      for (std::size_t j = 0; j < cur[0][l].size(); ++j)
-        out[l]->push_back(IqSample{cur[0][l][j], cur[1][l][j]});
-    }
+  }
+
+  // The later stages run once per call, on the decimated stream.
+  for (int l = 0; l < n; ++l)
+    for (int r = 0; r < 2; ++r) cur[r][l] = lanes[l]->front_out_[r];
+  for (std::size_t s = 1; s < lanes[0]->stages_.size(); ++s)
+    for (int r = 0; r < 2; ++r) run_stage(lanes, n, s, r, cur[r]);
+  for (int l = 0; l < n; ++l) {
+    if (cur[0][l].size() != cur[1][l].size())
+      throw SimulationError("FusedChainExec: I/Q rails lost rate lock");
+    std::vector<IqSample>& dst = *out[l];
+    const std::size_t base = dst.size();
+    dst.resize(base + cur[0][l].size());
+    for (std::size_t j = 0; j < cur[0][l].size(); ++j)
+      dst[base + j] = IqSample{cur[0][l][j], cur[1][l][j]};
   }
 }
 

@@ -14,19 +14,29 @@
 //     CoeffPool behind shared_ptr<const ...>: N sessions on the same config
 //     hold one copy, and the storage is immutable so sharing needs no locks
 //     after lookup;
-//   * fusion -- FusedChainExec executes a whole chain in L1-sized tiles:
-//     the NCO/mixer/first-stage sweep never materialises full-rate
-//     cos/sin/mix buffers beyond one tile, and every stage's output
-//     conditioning (shift/narrow/round) is applied as the stage's outputs
-//     are produced instead of in a separate sweep.  The staged DdcPipeline
-//     walks ~5 full-rate buffers per block; the fused path reads the input
-//     once and touches everything else while it is cache-hot;
+//   * fusion -- FusedChainExec runs the full-rate front end in one pass:
+//     NCO phase, quarter-LUT cos/sin, mixer round/saturate and the first
+//     CIC's integrator cascade stay in int32 registers, and only every R-th
+//     CIC output (after its combs) is stored (simd::front32).  That is
+//     where the paper's Table 3 puts 90 % of the cost.  It runs whenever
+//     int32 is exact: a LUT NCO, input_bits + nco_amplitude_bits <= 32, an
+//     unpruned first CIC of <= 32 register bits, and a build carrying the
+//     AVX2 kernels.  Every other plan -- Taylor NCOs, GC4016's pruned CIC5,
+//     the `ideal` spec's 36-bit product, portable builds -- runs the generic
+//     front end: simd::lut_sincos_block (or Taylor), mul_shift_narrow_block
+//     and CicDecimator::process_block over 1024-sample tiles.  The stages
+//     after the first then run once per call on the decimated stream, with
+//     every stage's output conditioning (shift/narrow/round) applied as its
+//     outputs are produced;
 //   * lanes -- the same executor advances 1, 4 or 8 channels in lockstep
-//     (FusedChainExec::process_lanes), packing each CIC stage's integrator
-//     cascades and each shared-tap FIR stage's dots across channels, one
-//     channel per register lane.  ChannelBank is its multi-lane client, the
-//     native backend its one-lane client; the staged DdcPipeline stays the
-//     reference both are checked against.
+//     (FusedChainExec::process_lanes).  The front end puts one channel per
+//     lane (input broadcast, a phase and tuning word per lane) when the
+//     lanes share the first CIC's decimation phase; later CIC stages pack
+//     their integrator cascades and shared-tap FIR stages their dots across
+//     channels the same way.  One lane runs the front end along time
+//     instead, 8 or 16 samples per register.  ChannelBank is the
+//     multi-lane client, the native backend the one-lane client; the staged
+//     DdcPipeline stays the reference both are checked against.
 //
 // CompiledPlanCache is the process-wide memo: backends' configure() and the
 // stream engine resolve plans through it, so 64 identical sessions compile
@@ -34,14 +44,17 @@
 // never invalidates a running session -- the artifact dies with its last
 // holder.
 //
-// Bit-exactness: FusedChainExec reuses the exact arithmetic of the staged
+// Bit-exactness: the generic path reuses the exact arithmetic of the staged
 // path (simd::lut_sincos_block, simd::mul_shift_narrow_block,
 // dsp::CicDecimator, the flat-window FIR dot over simd::dot_i64, and
-// fixed::shift_right/narrow), tiling is bit-exact because every stage is
-// streaming-composable, and the packed kernels accumulate each lane mod 2^64
-// exactly as its own scalar kernel would.  The simd kill switch therefore forces the fused
-// kernels onto the scalar path too -- the existing bit-exactness tests cover
-// the fused code with no extra plumbing.
+// fixed::shift_right/narrow).  The int32 front end is exact under its
+// eligibility rule: the product and its rounding fit int32, and integrators
+// that wrap mod 2^32 agree with the CIC's mod-2^W registers once reduced to W
+// bits (Hogenauer 1981).  The packed kernels accumulate each lane mod 2^64
+// exactly as its own scalar kernel would.  The simd kill switch forces every
+// kernel onto its scalar realisation -- for an int32 plan that is
+// simd::front32_scalar, since the first CIC's state lives in the executor --
+// so the existing bit-exactness tests cover both with no extra plumbing.
 #pragma once
 
 #include <cstdint>
@@ -53,6 +66,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/simd.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/dsp/cic.hpp"
 
@@ -208,8 +222,9 @@ class CompiledPlanCache {
 // ------------------------------------------------------------ FusedChainExec
 
 /// Per-channel execution state over a shared CompiledPlan: the NCO phase,
-/// two CIC decimators per CIC stage (I and Q rails), one flat FIR delay line
-/// per FIR stage per rail.  This is the one fast block executor: the native
+/// the first CIC's int32 registers (int32 plans) or two CIC decimators per
+/// CIC stage (I and Q rails), one flat FIR delay line per FIR stage per
+/// rail.  This is the one fast block executor: the native
 /// backend runs channels one at a time (process_block), ChannelBank runs
 /// them as lane groups (process_lanes).  Both are bit-exact with
 /// DdcPipeline::process_block on the same plan (pinned by tests across
@@ -221,14 +236,16 @@ class FusedChainExec {
 
   explicit FusedChainExec(std::shared_ptr<const CompiledPlan> plan);
 
-  /// Runs `n` (1..kMaxLanes) channels over the same input, tile by tile and
-  /// stage by stage: the NCO/mixer per lane, then each stage across the
-  /// lanes -- CIC stages through dsp::CicDecimator::process_block_packed8 /
-  /// packed4 (one register holds every lane's integrator), FIR stages through
-  /// the multi-lane shared-tap dot (simd::dot_i64_x8 / x4) when the lanes
-  /// hold the same TapSet and decimation phase.  Any lane set a packed
-  /// kernel cannot take (geometry, phase, tier, kill switch) runs that stage
-  /// per lane, so the result is bit-exact with n process_block calls.
+  /// Runs `n` (1..kMaxLanes) channels over the same input: the front end
+  /// and first stage across the lanes (simd::front32, one channel per lane;
+  /// or per lane through the generic tiles), then each later stage once
+  /// across the lanes -- CIC stages through
+  /// dsp::CicDecimator::process_block_packed8 / packed4 (one register holds
+  /// every lane's integrator), FIR stages through the multi-lane shared-tap
+  /// dot (simd::dot_i64_x8 / x4) when the lanes hold the same TapSet and
+  /// decimation phase.  Any lane set a packed kernel cannot take (geometry,
+  /// phase, tier, kill switch) runs that stage per lane, so the result is
+  /// bit-exact with n process_block calls.
   /// Channel l's outputs are appended to *out[l].  All-or-nothing: the input
   /// is range-checked against every lane's front end before any state
   /// advances (SimulationError).
@@ -279,22 +296,40 @@ class FusedChainExec {
   };
 
   void build_stages();
-  /// Mixes one tile into mix_tile_[0..1].
+  /// Generic front end: mixes one tile into mix_tile_[0..1].
   void run_front_end(std::span<const std::int64_t> tile);
+  /// int32 front end: stage 0 of every lane over the whole call through
+  /// simd::front32, octets and quads where the lanes share the stage-0
+  /// decimation phase, one lane at a time otherwise.  Leaves each lane's
+  /// conditioned stage-0 output in front_out_.
+  static void run_front32(FusedChainExec* const lanes[], int n,
+                          std::span<const std::int64_t> in);
+  [[nodiscard]] simd::FrontEnd32 front32_config() const;
   /// Stage `s` of rail `r` across the lanes: `cur[l]` is lane l's stage
   /// input, replaced by a view of its conditioned stage output.
   static void run_stage(FusedChainExec* const lanes[], int n, std::size_t s, int r,
                         std::span<const std::int64_t> cur[]);
+  static void condition(std::span<std::int64_t> v, const Conditioning& req);
 
   std::shared_ptr<const CompiledPlan> plan_;
-  std::uint32_t phase_ = 0;
   int mixer_shift_ = 0;
   bool mixer_narrow_ok_ = false;
+  /// NCO phase and tuning word (both paths), plus stage 0's CIC registers
+  /// on the int32 path.
+  simd::FrontLane32 front_;
+  /// The plan takes the int32 front end; fixed per structure, so splices
+  /// keep it.  Its stage-0 CIC state is front_ and count32_ (stages_[0].cic
+  /// stays empty).
+  bool front32_ = false;
+  int count32_ = 0;  // stage-0 inputs since its last output
   std::vector<StageState> stages_;
-  // Tile scratch (tile-sized, L1-resident; never full-block).
+  // Generic-path tile scratch (tile-sized, L1-resident).
   std::vector<std::int32_t> cos_tile_;
   std::vector<std::int32_t> sin_tile_;
   std::vector<std::int64_t> mix_tile_[2];
+  // Per-call buffers: stage 0's conditioned output, then the later stages'
+  // ping-pong outputs and FIR window.
+  std::vector<std::int64_t> front_out_[2];
   std::vector<std::int64_t> stage_a_[2];
   std::vector<std::int64_t> stage_b_[2];
   std::vector<std::int64_t> window_;

@@ -9,6 +9,7 @@
 // test in this binary, so every assertion on their counters works on deltas.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -42,26 +43,77 @@ ChainPlan reference_plan(double nco_freq_hz = 10.0e6) {
                             DatapathSpec::wide16());
 }
 
+/// A stimulus of `bits`-wide samples where every other sample is full scale
+/// (alternately the most negative and the most positive value), so the
+/// mixer's products reach their extremes at every NCO phase.
+std::vector<std::int64_t> full_scale_stimulus(std::size_t n, std::uint64_t seed,
+                                              int bits) {
+  Rng rng(seed);
+  std::vector<std::int64_t> x = dsp::random_samples(bits, n, rng);
+  for (std::size_t i = 0; i < n; i += 2)
+    x[i] = i % 4 == 0 ? fixed::min_for_bits(bits) : fixed::max_for_bits(bits);
+  return x;
+}
+
 /// Same generator family as the backend conformance harness: 2..4 stages
-/// drawn from the whole StageSpec vocabulary on a 16-bit rail.
+/// drawn from the whole StageSpec vocabulary on a 16-bit rail.  The front
+/// end and the first CIC are drawn across the int32 front end's
+/// eligibility edges (trial % 4 picks the front end; trials 1..3 lead with
+/// a CIC):
+///   0: 12-bit input, 16-bit NCO, 16-bit mixer bus (the wide16 front end);
+///   1: input + NCO amplitude bits of exactly 32 (the widest int32 case);
+///   2: 33 bits with a 32-bit mixer bus (one bit too wide: generic path);
+///   3: a 12-bit mixer bus under a 16-bit NCO with kNearest rounding, so a
+///      full-scale input rounds past the bus and saturates the mixer.
+/// Edge 0 draws a Taylor NCO half the time; the others keep the LUT.
+/// The first CIC draws its register width (Hogenauer, exactly 32, or two
+/// bits below Hogenauer, which wraps), its differential delay, and a
+/// decimation that need not be a multiple of 8 or 16.
 ChainPlan random_arbitrary_plan(Rng& rng, int trial) {
   ChainPlan plan;
   plan.name = "compiler-arbitrary-" + std::to_string(trial);
   plan.input_rate_hz = 40.0e6;
   plan.front_end.nco_freq_hz = rng.uniform(2.0e6, 12.0e6);
-  plan.front_end.input_bits = 12;
-  plan.front_end.nco_amplitude_bits = 16;
-  plan.front_end.mixer_out_bits = 16;
-  if (rng.uniform_int(0, 3) == 0) plan.front_end.nco_mode = dsp::Nco::Mode::kTaylor;
+  FrontEndSpec& fe = plan.front_end;
+  fe.mixer_rounding =
+      rng.uniform_int(0, 1) == 0 ? fixed::Rounding::kTruncate : fixed::Rounding::kNearest;
+  const int edge = trial % 4;
+  switch (edge) {
+    case 0: fe.input_bits = 12; fe.nco_amplitude_bits = 16; fe.mixer_out_bits = 16; break;
+    case 1: fe.input_bits = 14; fe.nco_amplitude_bits = 18; fe.mixer_out_bits = 16; break;
+    case 2: fe.input_bits = 15; fe.nco_amplitude_bits = 18; fe.mixer_out_bits = 32; break;
+    default:
+      fe.input_bits = 12;
+      fe.nco_amplitude_bits = 16;
+      fe.mixer_out_bits = 12;
+      fe.mixer_rounding = fixed::Rounding::kNearest;
+      break;
+  }
+  // Taylor NCOs take the generic path; the edge trials keep the LUT so each
+  // edge reaches the int32 kernels whenever its widths allow.
+  if (edge == 0 && rng.uniform_int(0, 1) == 0)
+    plan.front_end.nco_mode = dsp::Nco::Mode::kTaylor;
 
   const int n_stages = static_cast<int>(rng.uniform_int(2, 4));
   for (int s = 0; s < n_stages; ++s) {
-    const auto pick = rng.uniform_int(0, 2);
+    const auto pick = s == 0 && edge != 0 ? 0 : rng.uniform_int(0, 2);
     if (pick == 0) {
       const int stages = static_cast<int>(rng.uniform_int(1, 4));
-      const int dec = static_cast<int>(rng.uniform_int(2, 9));
-      StageSpec cic = StageSpec::cic("cic" + std::to_string(s), stages, dec, 16);
-      cic.post_shift = fixed::cic_bit_growth(stages, dec);
+      static constexpr int kFirstDecimations[] = {2, 3, 5, 7, 8, 9, 13, 16, 17, 31};
+      const int dec =
+          s == 0 ? kFirstDecimations[rng.uniform_int(0, 9)]
+                 : static_cast<int>(rng.uniform_int(2, 9));
+      StageSpec cic = StageSpec::cic("cic" + std::to_string(s), stages, dec,
+                                     s == 0 ? fe.mixer_out_bits : 16);
+      if (s == 0) {
+        cic.diff_delay = static_cast<int>(rng.uniform_int(1, 2));
+        const int hogenauer =
+            cic.input_bits + fixed::cic_bit_growth(stages, dec, cic.diff_delay);
+        const auto width = rng.uniform_int(0, 2);
+        cic.register_bits = width == 0 ? 0 : (width == 1 ? 32 : hogenauer - 2);
+      }
+      cic.post_shift = std::max(
+          0, fixed::cic_bit_growth(stages, dec, cic.diff_delay) + cic.input_bits - 16);
       cic.narrow_bits = 16;
       plan.stages.push_back(std::move(cic));
     } else {
@@ -277,15 +329,20 @@ void expect_fused_matches_staged(const ChainPlan& plan, std::uint64_t seed,
 
   // Two uneven blocks: the second exercises the carried state (NCO phase,
   // CIC registers, FIR tails, decimation phases) across the seam.  4097
-  // also exercises the fused executor's partial-tile path.
-  const auto block_a = stimulus(4097, seed);
-  const auto block_b = stimulus(2688 * 2 + 13, seed + 1);
+  // also exercises the kernels' partial-register tails, and the blocks of
+  // 1..17 samples after them run on tails alone.
+  const int bits = plan.front_end.input_bits;
+  std::vector<std::vector<std::int64_t>> blocks = {
+      full_scale_stimulus(4097, seed, bits),
+      full_scale_stimulus(2688 * 2 + 13, seed + 1, bits)};
+  for (std::size_t len = 1; len <= 17; ++len)
+    blocks.push_back(full_scale_stimulus(len, seed + 1 + len, bits));
   std::vector<IqSample> want;
   std::vector<IqSample> got;
-  staged.process_block(block_a, want);
-  staged.process_block(block_b, want);
-  fused.process_block(block_a, got);
-  fused.process_block(block_b, got);
+  for (const auto& block : blocks) {
+    staged.process_block(block, want);
+    fused.process_block(block, got);
+  }
   ASSERT_EQ(want.size(), got.size()) << plan.name << " simd=" << simd_on;
   for (std::size_t i = 0; i < want.size(); ++i) {
     ASSERT_EQ(want[i], got[i]) << plan.name << " sample " << i
@@ -305,10 +362,11 @@ TEST(FusedChainExec, KillSwitchForcesScalarAndStaysBitExact) {
 
 TEST(FusedChainExec, RandomizedTopologiesBitExactBothSimdStates) {
   Rng rng(2026);
-  for (int trial = 0; trial < 12; ++trial) {
+  for (int trial = 0; trial < 24; ++trial) {
     const ChainPlan plan = random_arbitrary_plan(rng, trial);
+    // Each front-end edge (trial % 4) runs under both kill-switch states.
     expect_fused_matches_staged(plan, 100 + static_cast<std::uint64_t>(trial),
-                                trial % 2 == 0);
+                                trial % 8 < 4);
   }
 }
 
@@ -617,12 +675,15 @@ class LaneRig {
     FusedChainExec::process_lanes(lanes, static_cast<int>(lanes_.size()), block, outs);
   }
 
-  /// Feeds `input` in ragged blocks of 1..3000 samples, so block seams fall
-  /// inside tiles, stage decimations and FIR windows.
+  /// Feeds `input` in ragged blocks of 1..3000 samples, a quarter of them
+  /// 1..17 samples long, so block seams fall inside tiles, registers, stage
+  /// decimations and FIR windows.
   void feed_ragged(const std::vector<std::int64_t>& input, Rng& rng) {
     for (std::size_t pos = 0; pos < input.size();) {
-      const auto len = std::min<std::size_t>(
-          static_cast<std::size_t>(rng.uniform_int(1, 3000)), input.size() - pos);
+      const auto drawn = rng.uniform_int(0, 3) == 0 ? rng.uniform_int(1, 17)
+                                                    : rng.uniform_int(1, 3000);
+      const auto len =
+          std::min<std::size_t>(static_cast<std::size_t>(drawn), input.size() - pos);
       feed({input.data() + pos, len});
       pos += len;
     }
@@ -649,9 +710,10 @@ void expect_group_matches(const ChainPlan& base, int n, std::uint64_t seed,
                           const std::string& what) {
   LaneRig rig(lane_plans(base, n));
   Rng rng(seed);
-  rig.feed_ragged(stimulus(static_cast<std::size_t>(base.total_decimation()) * 4 + 777,
-                           seed),
-                  rng);
+  rig.feed_ragged(
+      full_scale_stimulus(static_cast<std::size_t>(base.total_decimation()) * 4 + 777,
+                          seed, base.front_end.input_bits),
+      rng);
   rig.expect_lanes_match(what + " n=" + std::to_string(n));
 }
 
@@ -681,11 +743,14 @@ TEST(FusedChainExecLanes, PaperPlansMatchTheirStagedPipelines) {
 }
 
 TEST(FusedChainExecLanes, RandomTopologiesMatchBothSimdStates) {
+  // Every lane has its own tuning word (lane_plans detunes each lane), and
+  // each front-end edge (trial % 4) runs as quads and octets under both
+  // kill-switch states.
   Rng rng(0x1a2e);
-  for (int trial = 0; trial < 8; ++trial) {
+  for (int trial = 0; trial < 16; ++trial) {
     const ChainPlan plan = random_arbitrary_plan(rng, 900 + trial);
-    simd::ScopedEnable guard(trial % 4 < 2);
-    expect_group_matches(plan, trial % 2 == 0 ? 4 : 8,
+    simd::ScopedEnable guard(trial % 16 < 8);
+    expect_group_matches(plan, trial % 8 < 4 ? 4 : 8,
                          1000 + static_cast<std::uint64_t>(trial), plan.name);
   }
 }
