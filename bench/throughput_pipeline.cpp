@@ -367,10 +367,10 @@ void bench_backends() {
 
 // ------------------------------------------------------- multi-channel bank
 
-// Skewed decimation mix (the work-stealing acceptance case): channels whose
-// per-sample and per-output costs differ wildly, so a static shard idles
-// most of a pool while one worker grinds.  The tile chains rebalance by
-// stealing; this line is where that win lands in the trajectory:
+// Skewed decimation mix: channels whose per-sample and per-output costs
+// differ wildly, so a static shard idles most of a pool while one worker
+// grinds.  Lane groups claimed from a shared index rebalance at group
+// granularity; this line is where that lands in the trajectory:
 //   {"bench": "throughput_pipeline", "chain": "channel_bank:skewed",
 //    "channels": 9, "workers": N, "aggregate_msamples_per_s": ...,
 //    "baseline_msamples_per_s": ..., "scaling_vs_single": ...}

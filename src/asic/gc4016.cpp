@@ -247,13 +247,14 @@ void Gc4016::process_block(std::span<const std::int64_t> in,
                            std::vector<Gc4016Output>& out) {
   if (in.empty()) return;
   // All-or-nothing: reject the whole block before any channel advances.
-  std::int64_t lo = 0;
-  std::int64_t hi = 0;
-  simd::minmax_i64(in.data(), in.size(), lo, hi);
-  if (!fixed::fits_bits(lo, config_.input_bits) ||
-      !fixed::fits_bits(hi, config_.input_bits))
-    throw SimulationError("Gc4016::process_block: input does not fit " +
-                          std::to_string(config_.input_bits) + " bits");
+  const int bits = config_.input_bits;
+  if (!simd::all_fit_bits(in.data(), in.size(), bits)) {
+    const auto bad = std::find_if(in.begin(), in.end(), [bits](std::int64_t v) {
+      return !fixed::fits_bits(v, bits);
+    });
+    throw SimulationError("Gc4016::process_block: input " + std::to_string(*bad) +
+                          " does not fit " + std::to_string(bits) + " bits");
+  }
   // Capture each enabled channel's input count before the batch pass so the
   // planar outputs can be replayed in push()'s time order afterwards.
   struct Cursor {

@@ -1236,20 +1236,4 @@ inline void dot_i64_x8(const std::int64_t* taps, const std::int64_t* win,
   dot_i64_x8_scalar(taps, win, ntaps, out);
 }
 
-// --------------------------------------------------------------- block scans
-
-/// Min/max of a block in one pass (used to range-check pipeline inputs
-/// without a per-sample branch).  n must be >= 1.
-inline void minmax_i64(const std::int64_t* v, std::size_t n, std::int64_t& lo,
-                       std::int64_t& hi) {
-  std::int64_t mn = v[0];
-  std::int64_t mx = v[0];
-  for (std::size_t i = 1; i < n; ++i) {
-    mn = v[i] < mn ? v[i] : mn;
-    mx = v[i] > mx ? v[i] : mx;
-  }
-  lo = mn;
-  hi = mx;
-}
-
 }  // namespace twiddc::simd

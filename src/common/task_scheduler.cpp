@@ -11,9 +11,9 @@ namespace {
 
 constexpr trace::Category kTraceCat = trace::Category::kSched;
 
-// Worker identity for submit_local()/yield()/current_worker_index().  Keyed
-// by scheduler pointer so nested schedulers (a ChannelBank running inside a
-// StreamEngine worker task) resolve to their own queues.
+// Worker identity for current_worker_index().  Keyed by scheduler pointer
+// so nested schedulers (a ChannelBank running inside a StreamEngine worker
+// task) resolve to their own queues.
 thread_local TaskScheduler* tls_scheduler = nullptr;
 thread_local int tls_worker = -1;
 
@@ -58,55 +58,20 @@ TaskScheduler::~TaskScheduler() { shutdown(); }
 
 // ------------------------------------------------------------- submission
 
-void TaskScheduler::push(Worker& w, Task t, bool front) {
-  {
-    std::lock_guard<std::mutex> lock(w.mu);
-    if (front)
-      w.queue.push_front(std::move(t));
-    else
-      w.queue.push_back(std::move(t));
-    // seq_cst publish so a parking worker's size probe orders against the
-    // sleeping-flag handshake.
-    w.size.store(w.queue.size(), std::memory_order_seq_cst);
-  }
-  note_activity();
-}
-
 void TaskScheduler::submit_to(int w, Task t) {
   if (stop_.load(std::memory_order_acquire)) return;  // shutting down: drop
   auto& target = *workers_[static_cast<std::size_t>(w) % workers_.size()];
-  push(target, std::move(t), /*front=*/false);
+  {
+    std::lock_guard<std::mutex> lock(target.mu);
+    target.queue.push_back(std::move(t));
+    // seq_cst publish so a parking worker's size probe orders against the
+    // sleeping-flag handshake.
+    target.size.store(target.queue.size(), std::memory_order_seq_cst);
+  }
   wake_worker(target);  // targeted: nobody else is disturbed...
   // ...unless the target is stuck inside a task, in which case the new
   // entry is stealable and a parked sibling may as well come get it.
   if (target.running.load(std::memory_order_seq_cst)) maybe_wake_sleeper();
-}
-
-void TaskScheduler::submit(Task t) {
-  submit_to(static_cast<int>(round_robin_.fetch_add(
-                1, std::memory_order_relaxed)),
-            std::move(t));
-}
-
-void TaskScheduler::submit_local(Task t) {
-  if (stop_.load(std::memory_order_acquire)) return;  // shutting down: drop
-  const int w = current_worker_index();
-  if (w < 0) {
-    submit(std::move(t));
-    return;
-  }
-  // The caller is inside a task, so this entry is stealable at once.
-  push(*workers_[static_cast<std::size_t>(w)], std::move(t), /*front=*/true);
-  maybe_wake_sleeper();
-}
-
-void TaskScheduler::yield(Task t) {
-  const int w = current_worker_index();
-  if (w < 0) {
-    submit(std::move(t));
-    return;
-  }
-  submit_to(w, std::move(t));
 }
 
 int TaskScheduler::current_worker_index() const {
@@ -115,18 +80,18 @@ int TaskScheduler::current_worker_index() const {
 
 // --------------------------------------------------------------- workers
 
-TaskScheduler::Task TaskScheduler::take(Worker& w, bool front, bool gated) {
+TaskScheduler::Task TaskScheduler::take(Worker& w, bool thief) {
   if (w.size.load(std::memory_order_seq_cst) == 0) return {};
   std::lock_guard<std::mutex> lock(w.mu);
   if (w.queue.empty()) return {};
-  if (gated && !w.running.load(std::memory_order_seq_cst)) return {};
+  if (thief && !w.running.load(std::memory_order_seq_cst)) return {};
   Task t;
-  if (front) {
-    t = std::move(w.queue.front());
-    w.queue.pop_front();
-  } else {
+  if (thief) {
     t = std::move(w.queue.back());
     w.queue.pop_back();
+  } else {
+    t = std::move(w.queue.front());
+    w.queue.pop_front();
   }
   w.size.store(w.queue.size(), std::memory_order_seq_cst);
   return t;
@@ -143,31 +108,22 @@ void TaskScheduler::run(Task& t) {
   } catch (...) {
   }
   t = nullptr;
-  // After, not during: a completion this task performed is now visible, so
-  // a parked external waiter re-checks done() (and the queues) right away.
-  note_activity();
 }
 
 TaskScheduler::Task TaskScheduler::try_steal(int self) {
   const std::size_t n = workers_.size();
-  // Rotate the first victim so concurrent thieves spread out.
-  const std::size_t start =
-      self >= 0 ? static_cast<std::size_t>(self) + 1
-                : round_robin_.fetch_add(1, std::memory_order_relaxed);
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t v = (start + k) % n;
-    if (static_cast<int>(v) == self) continue;
-    // A worker thief leaves a quiet victim's queue to its (already woken)
-    // owner, which keeps targeted submission to a quiet worker
-    // deterministic.  The fork-join caller published its work before
-    // wait() and takes whatever it finds.
-    if (Task t = take(*workers_[v], /*front=*/false, /*gated=*/self >= 0)) {
+  // Start past self so concurrent thieves spread out.
+  for (std::size_t k = 1; k < n; ++k) {
+    const std::size_t v = (static_cast<std::size_t>(self) + k) % n;
+    // A quiet victim's queue is left to its (already woken) owner, which
+    // keeps targeted submission to a quiet worker deterministic.
+    if (Task t = take(*workers_[v], /*thief=*/true)) {
       stolen_.fetch_add(1, std::memory_order_relaxed);
       if (trace::enabled(kTraceCat)) {
-        // arg0 = victim, arg1 = thief + 1 (0 = external fork-join waiter).
+        // arg0 = victim, arg1 = thief.
         static const std::uint16_t kName = trace::intern("steal");
         trace::emit(kTraceCat, kName, trace::Phase::kInstant, v,
-                    static_cast<std::uint64_t>(self + 1));
+                    static_cast<std::uint64_t>(self));
       }
       return t;
     }
@@ -197,16 +153,6 @@ void TaskScheduler::maybe_wake_sleeper() {
   }
 }
 
-void TaskScheduler::note_activity() {
-  // Publish/park handshake mirrors the worker Dekker: the waiter registers
-  // in ext_waiters_ (seq_cst) before its steal sweep, so a producer either
-  // sees the registration here and bumps, or its work is visible to that
-  // sweep.  No registered waiter, no futex syscall.
-  if (ext_waiters_.load(std::memory_order_seq_cst) == 0) return;
-  activity_.fetch_add(1, std::memory_order_seq_cst);
-  activity_.notify_all();
-}
-
 bool TaskScheduler::any_work_visible(const Worker& me) const {
   if (me.size.load(std::memory_order_seq_cst) != 0) return true;
   // What this worker could steal: running is read before size, and a
@@ -225,7 +171,7 @@ void TaskScheduler::worker_loop(int w) {
   trace::set_thread_name("worker" + std::to_string(w));
   Worker& me = *workers_[static_cast<std::size_t>(w)];
   for (;;) {
-    Task t = take(me, /*front=*/true, /*gated=*/false);
+    Task t = take(me, /*thief=*/false);
     if (!t) t = try_steal(w);
     if (t) {
       // Raised only after the pop, so a targeted task on a quiet worker is
@@ -250,28 +196,6 @@ void TaskScheduler::worker_loop(int w) {
     me.sleeping.store(false, std::memory_order_seq_cst);
     sleepers_.fetch_sub(1, std::memory_order_seq_cst);
   }
-}
-
-// ------------------------------------------------------------- fork-join
-
-void TaskScheduler::wait(const Group& group) {
-  ext_waiters_.fetch_add(1, std::memory_order_seq_cst);
-  while (!group.done()) {
-    const std::uint32_t token = activity_.load(std::memory_order_seq_cst);
-    if (Task t = try_steal(-1)) {
-      run(t);
-      continue;
-    }
-    if (group.done()) break;
-    // Parked on the scheduler-wide activity eventcount, not the group:
-    // freshly queued work (a chain link, a new submission) must wake this
-    // thread too, or the fork-join caller contributes nothing until a
-    // whole chain completes.  Any publish or task retirement between the
-    // token read and here bumps it, so the wait returns immediately rather
-    // than sleeping through the transition.
-    activity_.wait(token, std::memory_order_seq_cst);
-  }
-  ext_waiters_.fetch_sub(1, std::memory_order_seq_cst);
 }
 
 }  // namespace twiddc::common

@@ -1,6 +1,7 @@
 #include "src/core/channel_bank.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <map>
 #include <string>
@@ -10,11 +11,10 @@
 
 namespace twiddc::core {
 namespace {
-// Units are advanced tile by tile so the shared input stays cache-resident
-// while every unit walks it, and a tile is also the stealable unit: between
-// tiles a unit's continuation sits in a scheduler run queue where an idle
-// worker can claim it.  Executors are streaming-composable, so tiling is
-// bit-exact with one monolithic call.
+// A unit walks the block one tile at a time, which bounds the executor's
+// per-call intermediates (the first stage's decimated rails, which the later
+// stages run over once per call).  Executors are streaming-composable, so
+// tiling is bit-exact with one monolithic call.
 constexpr std::size_t kTileSamples = 8192;
 }  // namespace
 
@@ -24,8 +24,8 @@ ChannelBank::ChannelBank(const std::vector<ChainPlan>& plans, int workers) {
   for (const auto& plan : plans)
     channels_.emplace_back(CompiledPlanCache::instance().get_or_compile(plan));
   workers_ = std::clamp(workers, 1, static_cast<int>(channels_.size()));
-  // The scheduler holds workers_-1 threads; the calling thread participates
-  // in every process_block via the fork-join steal loop.
+  // The scheduler holds workers_-1 threads; the calling thread drains beside
+  // them in every process_block.
   if (workers_ > 1) sched_ = std::make_unique<common::TaskScheduler>(workers_ - 1);
 }
 
@@ -61,15 +61,14 @@ std::vector<ChannelBank::Unit> ChannelBank::make_units() const {
     }
     for (; i < chs.size(); ++i) units.push_back(Unit{{chs[i]}, 1});
   }
-  // Submit in channel order, not group-key order: scheduling (and therefore
-  // the work-stealing interleave the bank's tests pin down) stays identical
-  // to the per-channel path whenever no group forms.
+  // Claim in channel order, not group-key order, so the drain order matches
+  // the per-channel path whenever no group forms.
   std::sort(units.begin(), units.end(),
             [](const Unit& a, const Unit& b) { return a.ch[0] < b.ch[0]; });
   return units;
 }
 
-void ChannelBank::run_tile(const Unit& unit, std::span<const std::int64_t> tile,
+void ChannelBank::run_unit(const Unit& unit, std::span<const std::int64_t> in,
                            std::vector<std::vector<IqSample>>& out) {
   FusedChainExec* lanes[FusedChainExec::kMaxLanes];
   std::vector<IqSample>* outs[FusedChainExec::kMaxLanes];
@@ -77,38 +76,10 @@ void ChannelBank::run_tile(const Unit& unit, std::span<const std::int64_t> tile,
     lanes[l] = &channels_[unit.ch[l]];
     outs[l] = &out[unit.ch[l]];
   }
-  FusedChainExec::process_lanes(lanes, unit.lanes, tile, outs);
-}
-
-void ChannelBank::run_tile_chain(std::span<const std::int64_t> in,
-                                 std::vector<std::vector<IqSample>>& out,
-                                 common::TaskScheduler::Group group, Unit unit,
-                                 std::size_t offset) {
-  try {
-    for (;;) {
-      const std::span<const std::int64_t> tile =
-          in.subspan(offset, std::min(kTileSamples, in.size() - offset));
-      run_tile(unit, tile, out);
-      offset += tile.size();
-      if (offset >= in.size()) {
-        group.complete();
-        return;
-      }
-      if (sched_ && sched_->current_worker_index() >= 0) {
-        // Publish the continuation instead of looping: the usual pop takes
-        // it right back (cache-hot LIFO), but while this worker is busy
-        // elsewhere an idle worker can steal the chain -- that migration is
-        // what keeps skewed decimations from stalling the block barrier.
-        sched_->submit_local([this, in, &out, group, unit, offset] {
-          run_tile_chain(in, out, group, unit, offset);
-        });
-        return;
-      }
-      // The fork-join caller has no queue; it keeps the chain inline.
-    }
-  } catch (...) {
-    group.fail(std::current_exception());
-  }
+  for (std::size_t off = 0; off < in.size(); off += kTileSamples)
+    FusedChainExec::process_lanes(
+        lanes, unit.lanes, in.subspan(off, std::min(kTileSamples, in.size() - off)),
+        outs);
 }
 
 void ChannelBank::process_block(std::span<const std::int64_t> in,
@@ -117,32 +88,26 @@ void ChannelBank::process_block(std::span<const std::int64_t> in,
   if (in.empty()) return;
   const std::vector<Unit> units = make_units();
 
-  const auto n_workers =
-      static_cast<std::size_t>(std::min<int>(workers_, static_cast<int>(units.size())));
-  if (n_workers <= 1 || !sched_) {
-    // Serial mode: tile-outer, unit-inner -- every unit advances through
-    // tile t before any unit starts tile t+1.
-    for (std::size_t off = 0; off < in.size(); off += kTileSamples) {
-      const std::span<const std::int64_t> tile =
-          in.subspan(off, std::min(kTileSamples, in.size() - off));
-      for (const Unit& u : units) run_tile(u, tile, out);
-    }
-    return;
-  }
-
-  // One tile chain per unit, spread round-robin over the worker queues;
-  // the caller joins through wait(), taking and executing chains
-  // alongside the pool.  Units touch disjoint channels and output vectors,
-  // so any steal-driven interleaving is bit-exact with serial execution;
-  // the only shared read is `in`.
+  // Every draining thread claims the next unit until none is left.  A
+  // drain touches `units`, `next`, `in` and `out` only before its
+  // complete()/fail(), and the wait below outlasts every such call, so they
+  // may live on this frame; the Group itself is captured by value.
+  std::atomic<std::size_t> next{0};
   common::TaskScheduler::Group group;
-  group.expect(units.size());
-  for (std::size_t k = 0; k < units.size(); ++k) {
-    sched_->submit_to(static_cast<int>(k), [this, in, &out, group, u = units[k]] {
-      run_tile_chain(in, out, group, u, 0);
-    });
-  }
-  sched_->wait(group);
+  const auto drain = [this, in, &out, &units, &next, group] {
+    try {
+      for (std::size_t k; (k = next.fetch_add(1, std::memory_order_relaxed)) < units.size();)
+        run_unit(units[k], in, out);
+      group.complete();
+    } catch (...) {
+      group.fail(std::current_exception());
+    }
+  };
+  const int helpers = std::min<int>(workers_, static_cast<int>(units.size())) - 1;
+  group.expect(static_cast<std::size_t>(helpers) + 1);
+  for (int h = 0; h < helpers; ++h) sched_->submit_to(h, drain);
+  drain();
+  group.wait();
   group.rethrow_if_error();
 }
 

@@ -18,18 +18,15 @@
 // makes every channel its own one-lane unit (the monolithic baseline the
 // packed-FIR bench compares against).
 //
-// Two execution modes:
-//   * workers == 1 (default): units run back to back on the caller's
-//     thread -- deterministic, no synchronisation;
-//   * workers > 1: each unit becomes a chain of cache-tile tasks on a
-//     persistent common::TaskScheduler (workers-1 threads; the calling
-//     thread steals and executes alongside them).  A unit's tiles run in
-//     order -- channels are sequential state machines -- but between tiles
-//     the continuation sits in a worker's run queue, so skewed plans
-//     (channels with very different decimations) rebalance onto idle
-//     workers instead of stalling a static shard at the block barrier.
-//     Units are fully independent, so any interleaving is bit-exact with
-//     serial execution.
+// Execution: every thread that works on a block claims the next lane group
+// from a shared index and runs that group's cache tiles inline, in order
+// (channels are sequential state machines), until no group is left.  With
+// workers > 1 the calling thread drains beside min(workers, units) - 1
+// drain tasks on a persistent common::TaskScheduler (workers - 1 threads)
+// and joins them through a Group; with workers == 1 it drains alone.  Units
+// touch disjoint channels, so any claim order is bit-exact with serial
+// execution.  Parallelism is across lane groups only: a bank whose
+// channels pack into one group runs on one thread whatever `workers` says.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +62,7 @@ class ChannelBank {
   [[nodiscard]] int workers() const { return workers_; }
 
   /// The bank's task scheduler (null in serial mode) -- exposed so tests
-  /// can assert that tile chains actually migrate between workers.
+  /// and benches can count the drain tasks it ran.
   [[nodiscard]] const common::TaskScheduler* scheduler() const {
     return sched_.get();
   }
@@ -99,18 +96,9 @@ class ChannelBank {
   /// Partitions the channels into lane groups by structural key (octets
   /// only when the runtime AVX-512 tier is up, then quads, then singles).
   [[nodiscard]] std::vector<Unit> make_units() const;
-  /// Advances `unit` through one tile.
-  void run_tile(const Unit& unit, std::span<const std::int64_t> tile,
+  /// Advances `unit` through `in`, one cache tile after another.
+  void run_unit(const Unit& unit, std::span<const std::int64_t> in,
                 std::vector<std::vector<IqSample>>& out);
-  /// One link of a unit's tile chain: advances the unit through the tile at
-  /// `offset`, then either re-submits itself (on a scheduler worker: the
-  /// continuation lands in its run queue, where a thief can take it) or keeps
-  /// looping inline (the fork-join caller).  Completes / fails `group`
-  /// exactly once, at the unit's last tile.
-  void run_tile_chain(std::span<const std::int64_t> in,
-                      std::vector<std::vector<IqSample>>& out,
-                      common::TaskScheduler::Group group, Unit unit,
-                      std::size_t offset);
 
   std::vector<FusedChainExec> channels_;
   int workers_ = 1;

@@ -1,5 +1,6 @@
 #include "src/core/pipeline.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -367,6 +368,16 @@ void ChainPlan::validate() const {
   if (front_end.nco_freq_hz < 0.0 || front_end.nco_freq_hz >= input_rate_hz / 2.0)
     throw ConfigError("ChainPlan '" + name +
                       "': NCO frequency out of [0, input_rate/2)");
+  // Samples and mixer products live in int64 lanes.
+  const int in_bits = front_end.input_bits;
+  if (in_bits < 1 || in_bits > 63)
+    throw ConfigError("ChainPlan '" + name + "': input_bits " + std::to_string(in_bits) +
+                      " outside [1, 63]");
+  if (in_bits + front_end.nco_amplitude_bits - 1 > 63)
+    throw ConfigError("ChainPlan '" + name + "': mixer product of " +
+                      std::to_string(in_bits) + "-bit input and " +
+                      std::to_string(front_end.nco_amplitude_bits) +
+                      "-bit NCO exceeds 63 bits");
 }
 
 ChainPlan ChainPlan::figure1(const DdcConfig& config, const DatapathSpec& spec) {
@@ -719,17 +730,14 @@ void DdcPipeline::process_block(std::span<const std::int64_t> in,
                                 std::vector<IqSample>& out) {
   // Validate the whole block up front: a mid-block throw would otherwise
   // leave the NCO advanced past the rails (all-or-nothing semantics).  One
-  // min/max sweep replaces the per-sample branch.
+  // branch-free sweep replaces the per-sample branch.
   const int input_bits = plan_.front_end.input_bits;
-  if (!in.empty()) {
-    std::int64_t lo = 0;
-    std::int64_t hi = 0;
-    simd::minmax_i64(in.data(), in.size(), lo, hi);
-    if (!fixed::fits_bits(lo, input_bits) || !fixed::fits_bits(hi, input_bits)) {
-      const std::int64_t bad = fixed::fits_bits(lo, input_bits) ? hi : lo;
-      throw SimulationError("DdcPipeline::process_block: input " + std::to_string(bad) +
-                            " does not fit " + std::to_string(input_bits) + " bits");
-    }
+  if (!simd::all_fit_bits(in.data(), in.size(), input_bits)) {
+    const auto bad = std::find_if(in.begin(), in.end(), [input_bits](std::int64_t v) {
+      return !fixed::fits_bits(v, input_bits);
+    });
+    throw SimulationError("DdcPipeline::process_block: input " + std::to_string(*bad) +
+                          " does not fit " + std::to_string(input_bits) + " bits");
   }
   cos_.resize(in.size());
   sin_.resize(in.size());

@@ -409,8 +409,7 @@ void StreamEngine::schedule_session(Session& s) {
     if (st == Session::kIdle) {
       if (s.sched_state_.compare_exchange_weak(st, Session::kScheduled,
                                                std::memory_order_acq_rel))
-        return submit_session_task(*sched_, s.shared_from_this(),
-                                   /*yield_lane=*/false);
+        return submit_session_task(*sched_, s.shared_from_this());
     } else if (st == Session::kRunning) {
       if (s.sched_state_.compare_exchange_weak(st, Session::kRunningDirty,
                                                std::memory_order_acq_rel))
@@ -422,14 +421,9 @@ void StreamEngine::schedule_session(Session& s) {
 }
 
 void StreamEngine::submit_session_task(common::TaskScheduler& sched,
-                                       const std::shared_ptr<Session>& session,
-                                       bool yield_lane) {
-  auto task = [this, &sched, session] { run_session(sched, session); };
-  if (yield_lane)
-    sched.yield(std::move(task));  // behind this worker's other runnables
-  else
-    sched.submit_to(session->home_.load(std::memory_order_acquire),
-                    std::move(task));
+                                       const std::shared_ptr<Session>& session) {
+  sched.submit_to(session->home_.load(std::memory_order_acquire),
+                  [this, &sched, session] { run_session(sched, session); });
 }
 
 void StreamEngine::run_session(common::TaskScheduler& sched,
@@ -477,7 +471,7 @@ void StreamEngine::run_session(common::TaskScheduler& sched,
     // Quantum exhausted with input still queued: yield behind the other
     // runnable sessions on this worker -- the WRR fairness edge.
     s.sched_state_.store(Session::kScheduled, std::memory_order_release);
-    return submit_session_task(sched, sp, /*yield_lane=*/true);
+    return submit_session_task(sched, sp);
   }
   int st = Session::kRunning;
   if (s.sched_state_.compare_exchange_strong(st, Session::kIdle,
@@ -485,7 +479,7 @@ void StreamEngine::run_session(common::TaskScheduler& sched,
     return;  // parked: a poll()/enqueue/retune nudge re-arms it
   // kRunningDirty: a request raced the pass; service again promptly.
   s.sched_state_.store(Session::kScheduled, std::memory_order_release);
-  submit_session_task(sched, sp, /*yield_lane=*/true);
+  submit_session_task(sched, sp);
 }
 
 bool StreamEngine::try_restart(Session& s) {

@@ -180,12 +180,12 @@ class StreamEngine {
   /// must not read the member.
   void run_session(common::TaskScheduler& sched,
                    const std::shared_ptr<Session>& session);
-  /// Queues a run_session task for the session.  `yield_lane` re-queues
-  /// behind the worker's other runnable tasks (fairness); otherwise the
-  /// task is a targeted submission to the session's home worker.
+  /// Queues a run_session task at the back of the session's home worker.
+  /// A re-queue from inside a pass lands behind that worker's other
+  /// runnable tasks (run_session has just set home_ to the running worker),
+  /// which is the fairness edge.
   void submit_session_task(common::TaskScheduler& sched,
-                           const std::shared_ptr<Session>& session,
-                           bool yield_lane);
+                           const std::shared_ptr<Session>& session);
   /// The notify half of the actor protocol: idempotent, lock-free, never
   /// loses a request, never double-runs a session.  Caller must know the
   /// scheduler is alive (pump; or via EngineLink::scheduler_live).

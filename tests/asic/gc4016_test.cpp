@@ -177,6 +177,17 @@ TEST(Gc4016, InputWidthEnforced) {
   EXPECT_THROW(chip.push(10000), twiddc::SimulationError);   // > 13 bits
   EXPECT_NO_THROW(chip.push(8191));
   EXPECT_NO_THROW(chip.push(-8192));
+
+  // The block path rejects the whole block before any channel advances.
+  auto cfg = one_channel();
+  cfg.channels.assign(2, cfg.channels[0]);
+  Gc4016 pair(cfg);
+  std::vector<std::int64_t> block(512, 100);
+  block[300] = -8193;
+  std::vector<Gc4016Output> out;
+  EXPECT_THROW(pair.process_block(block, out), twiddc::SimulationError);
+  EXPECT_TRUE(out.empty());
+  for (int c = 0; c < 2; ++c) EXPECT_EQ(pair.channel(c).pipeline().samples_in(), 0u);
 }
 
 TEST(Gc4016Power, DatasheetOperatingPoint) {

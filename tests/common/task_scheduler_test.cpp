@@ -1,7 +1,7 @@
 // TaskScheduler: per-worker run queues, targeted submission, work stealing
-// off a busy worker's queue, batch-cyclic yield fairness, and fork-join
-// group semantics (completion + exception propagation).  Runs under TSan in
-// CI alongside the stream suite.
+// off a busy worker's queue, batch-cyclic fairness for re-queued actors, and
+// Group completion handles (blocking wait + exception propagation).  Runs
+// under TSan in CI alongside the stream suite.
 #include "src/common/task_scheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -26,11 +26,11 @@ TEST(TaskScheduler, RunsEverySubmittedTask) {
   constexpr int kTasks = 200;
   group.expect(kTasks);
   for (int i = 0; i < kTasks; ++i)
-    sched.submit([&ran, group] {  // tasks hold the group BY VALUE (API rule)
+    sched.submit_to(i, [&ran, group] {  // tasks hold the group BY VALUE (API rule)
       ran.fetch_add(1, std::memory_order_relaxed);
       group.complete();
     });
-  sched.wait(group);
+  group.wait();
   group.rethrow_if_error();
   EXPECT_EQ(ran.load(), kTasks);
   EXPECT_GE(sched.stats().executed, static_cast<std::uint64_t>(kTasks));
@@ -46,13 +46,9 @@ TEST(TaskScheduler, TargetedSubmissionRunsOnTheTargetWorker) {
       seen = sched.current_worker_index();
       group.complete();
     });
-    // No competing work anywhere, so nothing can steal the task before its
-    // home worker wakes; an external waiter's steal is the one exception --
-    // park instead of wait()ing so the task stays put.
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (!group.done() && std::chrono::steady_clock::now() < deadline)
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    ASSERT_TRUE(group.done());
+    // No competing work anywhere, and a quiet worker's queue is left to its
+    // owner, so nothing can steal the task before its home worker wakes.
+    group.wait();
     EXPECT_EQ(seen, w);
   }
   EXPECT_EQ(sched.current_worker_index(), -1);  // this thread is no worker
@@ -62,26 +58,20 @@ TEST(TaskScheduler, IdleWorkerStealsFromABusyWorkersQueue) {
   TaskScheduler sched(2);
   TaskScheduler::Group group;
   std::atomic<int> done{0};
-  std::atomic<bool> started{false};
   constexpr int kChained = 6;
   group.expect(1);
   // The worker that claims this task parks inside it after pushing chained
-  // work onto its OWN queue; only another executor can run those, and only
+  // work onto its OWN queue; only another worker can run those, and only
   // by stealing them.
-  sched.submit_to(0, [&sched, &done, &started, group] {
-    started.store(true, std::memory_order_release);
+  sched.submit_to(0, [&sched, &done, group] {
     for (int i = 0; i < kChained; ++i)
-      sched.submit_local([&done] { done.fetch_add(1, std::memory_order_relaxed); });
+      sched.submit_to(sched.current_worker_index(),
+                      [&done] { done.fetch_add(1, std::memory_order_relaxed); });
     while (done.load(std::memory_order_relaxed) < kChained)
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     group.complete();
   });
-  // Hold this thread back until a WORKER has claimed the blocker -- if the
-  // fork-join waiter below stole it first, it would run here, off-worker,
-  // and submit_local would fall back to submit() (no steal needed).
-  while (!started.load(std::memory_order_acquire))
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  sched.wait(group);
+  group.wait();
   group.rethrow_if_error();
   EXPECT_EQ(done.load(), kChained);
   EXPECT_GE(sched.stats().stolen, static_cast<std::uint64_t>(kChained));
@@ -105,22 +95,19 @@ TEST(TaskScheduler, QueuedSubmissionsBehindABlockedWorkerAreStolen) {
 
   // Queued behind the blocker, these can only run if worker 1 steals them.
   constexpr int kQueued = 4;
+  TaskScheduler::Group group;
+  group.expect(kQueued);
   std::mutex mu;
   std::vector<int> ran_on;  // guarded by mu
   for (int i = 0; i < kQueued; ++i)
-    sched.submit_to(0, [&sched, &mu, &ran_on] {
-      std::lock_guard<std::mutex> lock(mu);
-      ran_on.push_back(sched.current_worker_index());
+    sched.submit_to(0, [&sched, &mu, &ran_on, group] {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        ran_on.push_back(sched.current_worker_index());
+      }
+      group.complete();
     });
-  // Observe passively (no sched.wait): a fork-join waiter could take the
-  // queued tasks itself.
-  const auto ran = [&mu, &ran_on] {
-    std::lock_guard<std::mutex> lock(mu);
-    return ran_on.size();
-  };
-  while (ran() < static_cast<std::size_t>(kQueued) &&
-         std::chrono::steady_clock::now() < deadline)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  group.wait();
   {
     std::lock_guard<std::mutex> lock(mu);
     EXPECT_EQ(ran_on, std::vector<int>(kQueued, 1));
@@ -130,9 +117,10 @@ TEST(TaskScheduler, QueuedSubmissionsBehindABlockedWorkerAreStolen) {
 }
 
 TEST(TaskScheduler, YieldingActorsAlternateBatchCyclically) {
-  // Two cooperative actors on ONE worker, each yield()ing between slices:
-  // the batch-cyclic queue discipline must interleave them instead of
-  // letting the re-submitted actor monopolise the queue.
+  // Two cooperative actors on ONE worker, each re-queueing itself on its
+  // own worker between slices (the stream engine's yield): the batch-cyclic
+  // queue discipline must interleave them instead of letting the
+  // re-submitted actor monopolise the queue.
   TaskScheduler sched(1);
   TaskScheduler::Group group;
   std::mutex mu;
@@ -155,27 +143,22 @@ TEST(TaskScheduler, YieldingActorsAlternateBatchCyclically) {
         group.complete();
         return;
       }
-      sched->yield([self = *this]() mutable { self.run(); });
+      sched->submit_to(sched->current_worker_index(),
+                       [self = *this]() mutable { self.run(); });
     }
   };
   // A starter task enrolls both actors from inside the worker, so they
   // land in one batch deterministically (no startup race where the
   // worker drains one before the other is submitted).
   sched.submit_to(0, [&sched, &mu, &order, group] {
-    sched.yield([&sched, &mu, &order, group] {
+    sched.submit_to(0, [&sched, &mu, &order, group] {
       Actor{&sched, group, &mu, &order, 'a'}.run();
     });
-    sched.yield([&sched, &mu, &order, group] {
+    sched.submit_to(0, [&sched, &mu, &order, group] {
       Actor{&sched, group, &mu, &order, 'b'}.run();
     });
   });
-  // Observe passively (no sched.wait): a fork-join waiter is itself an
-  // executor -- it may steal an actor and run it in parallel, which is
-  // correct but makes single-worker round order unobservable.
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (!group.done() && std::chrono::steady_clock::now() < deadline)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  ASSERT_TRUE(group.done());
+  group.wait();
   group.rethrow_if_error();
   ASSERT_EQ(order.size(), static_cast<std::size_t>(2 * kSlices));
   // Once both actors are live, no actor may run more than twice in a row
@@ -193,47 +176,36 @@ TEST(TaskScheduler, GroupPropagatesTheFirstException) {
   TaskScheduler sched(2);
   TaskScheduler::Group group;
   group.expect(3);
-  sched.submit([group] { group.complete(); });
-  sched.submit([group] {
+  sched.submit_to(0, [group] { group.complete(); });
+  sched.submit_to(1, [group] {
     group.fail(std::make_exception_ptr(std::runtime_error("tile exploded")));
   });
-  sched.submit([group] { group.complete(); });
-  sched.wait(group);
+  sched.submit_to(0, [group] { group.complete(); });
+  group.wait();
   EXPECT_THROW(group.rethrow_if_error(), std::runtime_error);
   // A second rethrow is a no-op: the error was consumed.
   group.rethrow_if_error();
 }
 
-TEST(TaskScheduler, ExternalWaiterHelpsExecuteChainedWork) {
-  // A chain that keeps re-submitting to a single worker's queue while the
-  // fork-join caller waits: the caller's steal loop must be able to help
-  // (and at minimum the chain must complete promptly).
-  TaskScheduler sched(1);
+TEST(TaskScheduler, GroupWaitWakesOnAForeignThreadsCompletion) {
+  // Completion needs no scheduler: a plain thread's final complete()
+  // releases a parked waiter.
   TaskScheduler::Group group;
-  std::atomic<int> hops{0};
-  group.expect(1);
-  struct Hopper {
-    TaskScheduler* sched;
-    TaskScheduler::Group group;  // by value
-    std::atomic<int>* hops;
-    void run() const {
-      if (hops->fetch_add(1, std::memory_order_relaxed) + 1 == 500) {
-        group.complete();
-        return;
-      }
-      auto next = *this;
-      sched->submit_local([next] { next.run(); });
-    }
-  };
-  sched.submit_to(0, [&sched, &hops, group] { Hopper{&sched, group, &hops}.run(); });
-  sched.wait(group);
-  group.rethrow_if_error();
-  EXPECT_EQ(hops.load(), 500);
+  group.expect(2);
+  std::thread a([group] { group.complete(); });
+  std::thread b([group] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    group.complete();
+  });
+  group.wait();
+  EXPECT_TRUE(group.done());
+  a.join();
+  b.join();
 }
 
 TEST(TaskScheduler, ManyProducersManyTasksUnderChurn) {
-  // Stress: 4 client threads firehose targeted and untargeted tasks at a
-  // 3-worker scheduler (TSan coverage for the queues, steal, sleep).
+  // Stress: 4 client threads firehose targeted tasks at a 3-worker
+  // scheduler (TSan coverage for the queues, steal, sleep).
   // Targets span [0, 7): submit_to routes modulo workers(), so targets at
   // or past the worker count must still land on a live worker.
   TaskScheduler sched(3);
@@ -256,15 +228,12 @@ TEST(TaskScheduler, ManyProducersManyTasksUnderChurn) {
           slot.fetch_add(1, std::memory_order_relaxed);
           group.complete();
         };
-        if (i % 3 == 0)
-          sched.submit(task);
-        else
-          sched.submit_to((p + i) % kTargets, task);
+        sched.submit_to((p + i) % kTargets, task);
       }
     });
   }
   for (auto& t : producers) t.join();
-  sched.wait(group);
+  group.wait();
   group.rethrow_if_error();
   EXPECT_EQ(ran.load(), kProducers * kPerProducer);
   for (std::size_t k = 0; k < runs.size(); ++k)

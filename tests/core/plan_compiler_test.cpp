@@ -292,6 +292,18 @@ TEST(PlanCompilerCache, InvalidPlansThrowWithoutCaching) {
   const auto before = cache.stats();
   EXPECT_THROW((void)cache.get_or_compile(bad), ConfigError);
   EXPECT_EQ(cache.stats().entries, before.entries);
+
+  // Front-end widths int64 lanes cannot hold are rejected by validate(), so
+  // the staged pipeline and the compiler refuse them alike (49 bits: the
+  // product with the 16-bit NCO needs 64).
+  for (int input_bits : {0, 64, 70, 49}) {
+    ChainPlan wide = reference_plan();
+    wide.front_end.input_bits = input_bits;
+    EXPECT_THROW(wide.validate(), ConfigError) << input_bits;
+    EXPECT_THROW(DdcPipeline{wide}, ConfigError) << input_bits;
+    EXPECT_THROW((void)cache.get_or_compile(wide), ConfigError) << input_bits;
+  }
+  EXPECT_EQ(cache.stats().entries, before.entries);
 }
 
 TEST(PlanCompilerCache, ConcurrentGetOrCompileSharesOneArtifact) {
