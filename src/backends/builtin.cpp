@@ -102,6 +102,9 @@ class NativeBackend final : public BackendBase {
     }
     plan_ = plan;
   }
+  [[nodiscard]] core::FusedChainExec* lane_executor() override {
+    return exec_ ? &*exec_ : nullptr;
+  }
 
  private:
   std::optional<core::FusedChainExec> exec_;

@@ -37,6 +37,8 @@
 
 namespace twiddc::core {
 
+class FusedChainExec;
+
 /// Thrown by ArchitectureBackend::configure when a plan cannot be lowered
 /// onto the architecture.  Carries the backend name and the first
 /// unmappable feature as separate fields so harnesses can report *why* an
@@ -142,6 +144,16 @@ class ArchitectureBackend {
 
   /// Silicon cost for the energy scenarios (valid after configure()).
   [[nodiscard]] virtual BackendPowerProfile power_profile() const { return {}; }
+
+  /// The fused executor this backend runs its blocks through, when it has
+  /// one (valid after configure(); the address stays fixed across
+  /// configure and swap_plan).  A StreamEngine serves sessions whose
+  /// executors share a structure as one FusedChainExec::process_lanes
+  /// call, so a backend that returns one promises that process_block is
+  /// exactly that executor's process_block.  Default nullptr: the session
+  /// is always served alone, through process_block -- decorators that
+  /// wrap another backend keep the default.
+  [[nodiscard]] virtual FusedChainExec* lane_executor() { return nullptr; }
 
  protected:
   /// Helper for subclasses: throws SimulationError when not configured.

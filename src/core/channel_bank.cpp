@@ -7,7 +7,6 @@
 #include <string>
 
 #include "src/common/error.hpp"
-#include "src/common/simd.hpp"
 
 namespace twiddc::core {
 namespace {
@@ -44,13 +43,11 @@ std::vector<ChannelBank::Unit> ChannelBank::make_units() const {
   std::map<std::string, std::vector<std::size_t>> groups;
   for (std::size_t c = 0; c < channels_.size(); ++c)
     groups[channels_[c].compiled().structural_key()].push_back(c);
-  // Octets only when the AVX-512 tier is actually up right now; an octet on
-  // an AVX2-only box would split into quad halves, which quads already
-  // express directly.
-  const int widest = simd::avx512_active() ? 8 : 4;
+  // Octets first on every tier: the AVX2 front32 runs an octet as one
+  // group too, at well under a quad's cost per channel.
   for (const auto& [key, chs] : groups) {
     std::size_t i = 0;
-    for (int width = widest; width >= 4; width /= 2) {
+    for (int width = FusedChainExec::kMaxLanes; width >= 4; width /= 2) {
       for (; i + static_cast<std::size_t>(width) <= chs.size();
            i += static_cast<std::size_t>(width)) {
         Unit u;

@@ -9,8 +9,8 @@
 // cache.
 //
 // Cross-channel packing: channels with equal structural keys (same stage
-// kinds, geometry and tap counts) are grouped eight at a time when the
-// AVX-512 tier is up, then four, and each group runs as one lane group of
+// kinds, geometry and tap counts) are grouped eight at a time, then four,
+// and each group runs as one lane group of
 // FusedChainExec::process_lanes -- every CIC stage's integrator cascades and
 // every shared-tap FIR stage's dots run one channel per register lane.  A
 // lane that falls out of phase (a kFlush mid-stream) or a tier that is off
@@ -93,8 +93,8 @@ class ChannelBank {
     int lanes = 1;
   };
 
-  /// Partitions the channels into lane groups by structural key (octets
-  /// only when the runtime AVX-512 tier is up, then quads, then singles).
+  /// Partitions the channels into lane groups by structural key: octets,
+  /// then quads, then singles.
   [[nodiscard]] std::vector<Unit> make_units() const;
   /// Advances `unit` through `in`, one cache tile after another.
   void run_unit(const Unit& unit, std::span<const std::int64_t> in,

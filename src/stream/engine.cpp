@@ -14,6 +14,8 @@ namespace twiddc::stream {
 namespace {
 
 constexpr trace::Category kStreamCat = trace::Category::kStream;
+static_assert(Cohort::kCapacity == core::FusedChainExec::kMaxLanes,
+              "a cohort is at most one process_lanes call");
 
 /// Interned event-name ids for this file's trace sites, resolved once on
 /// first use (any site, any thread -- the static init is serialized).
@@ -67,11 +69,24 @@ std::shared_ptr<Session> StreamEngine::open(const core::ChainPlan& plan,
                                             BackpressurePolicy policy) {
   auto backend = core::BackendRegistry::instance().create(backend_name);
   backend->configure(plan);  // LoweringError propagates; nothing opened
+  const core::FusedChainExec* lanes = backend->lane_executor();
   std::lock_guard<std::mutex> lock(sessions_mu_);
   std::shared_ptr<Session> session(
       new Session(next_session_id_++, std::move(backend), policy,
                   options_.session_queue_blocks, options_.session_output_chunks,
                   link_, output_epoch_));
+  if (lanes) {
+    // Join the newest cohort of this structure, or start one when it is
+    // full (membership is fixed from here on).
+    std::shared_ptr<Cohort>& cohort = open_cohorts_[lanes->compiled().structural_key()];
+    if (!cohort || cohort->size.load(std::memory_order_relaxed) == Cohort::kCapacity)
+      cohort = std::make_shared<Cohort>();
+    const int slot = cohort->size.load(std::memory_order_relaxed);
+    cohort->members[static_cast<std::size_t>(slot)] = session;
+    cohort->live.fetch_add(1, std::memory_order_relaxed);
+    cohort->size.store(slot + 1, std::memory_order_release);
+    session->cohort_ = cohort;
+  }
   // Initial pinning: round-robin by id.  The pin is advisory -- a steal
   // re-homes the session -- so any spread works; id keeps it deterministic.
   session->home_.store(
@@ -430,8 +445,11 @@ void StreamEngine::run_session(common::TaskScheduler& sched,
                                const std::shared_ptr<Session>& sp) {
   Session& s = *sp;
   int expected = Session::kScheduled;
-  // Claim the actor.  A failed claim means a duplicate task (possible only
-  // across a stop()/start() reset) -- drop it; the claimer does the work.
+  // Claim the actor.  A failed claim means another worker holds the
+  // session -- a cohort pass leader serving it as a lane -- or this is a
+  // duplicate task (a leader re-queues every sibling it took from a run
+  // queue; start() re-arms after a stop()).  Drop it; the holder does the
+  // work or re-queues.
   if (!s.sched_state_.compare_exchange_strong(expected, Session::kRunning,
                                               std::memory_order_acq_rel))
     return;
@@ -439,14 +457,16 @@ void StreamEngine::run_session(common::TaskScheduler& sched,
   if (w >= 0) s.home_.store(w, std::memory_order_release);  // migrate on steal
   s.stats_.service_passes.fetch_add(1, std::memory_order_relaxed);
   bool requeue = false;
+  LaneGroup group;
   if (!stop_.load(std::memory_order_acquire) && !s.closed()) {
     const std::size_t quantum =
         options_.session_quantum_blocks *
         static_cast<std::size_t>(s.weight_.load(std::memory_order_acquire));
     const std::uint64_t pass_start_ns = trace::Span::now_ns();
-    trace::Span service_span(kStreamCat, tn().service, s.id());
+    trace::Span service_span(kStreamCat, tn().service, 1);
     try {
-      requeue = service(s, quantum);
+      requeue = service(sched, s, quantum, group);
+      service_span.set_arg(static_cast<std::uint64_t>(group.widest));
       service_span.finish();
       service_pass_ns_.record(trace::Span::now_ns() - pass_start_ns);
     } catch (const std::exception& e) {
@@ -462,6 +482,7 @@ void StreamEngine::run_session(common::TaskScheduler& sched,
       s.fault(FaultCause::kInternal, "service: foreign exception");
     }
   }
+  while (group.size > 0) release_sibling(sched, group, group.size - 1);
   // Wake output waiters AFTER the final busy_/has_pending_chunk_ stores --
   // unconditionally: even a no-work pass raises busy_ for its empty-pop
   // probe, and a drain that read that transient "busy" (not finished) must
@@ -480,6 +501,75 @@ void StreamEngine::run_session(common::TaskScheduler& sched,
   // kRunningDirty: a request raced the pass; service again promptly.
   s.sched_state_.store(Session::kScheduled, std::memory_order_release);
   submit_session_task(sched, sp);
+}
+
+void StreamEngine::claim_siblings(common::TaskScheduler& sched, Session& lead,
+                                  LaneGroup& group) {
+  if (!lead.cohort_) return;
+  const Cohort& cohort = *lead.cohort_;
+  // Only a full octet is claimed (below), and a closed member never comes
+  // back: skip the scan for good once one has left.
+  if (cohort.live.load(std::memory_order_relaxed) < Cohort::kCapacity) return;
+  const int size = cohort.size.load(std::memory_order_acquire);
+  const std::uint64_t seq = lead.next_seq_.load(std::memory_order_relaxed);
+  std::shared_ptr<Session> found[Cohort::kCapacity - 1];
+  int n = 0;
+  for (int i = 0; i < size; ++i) {
+    std::shared_ptr<Session> sib = cohort.members[static_cast<std::size_t>(i)].lock();
+    // Cheap pre-filter: a sibling with nothing to serve is not worth
+    // holding (its own task, if any, would find it claimed).  Nor is one
+    // at another feed position (opened mid-stream, or behind after a drop
+    // or a shed): it could never share a call this pass.  The acquire load
+    // orders the seq read after the sibling's last pass.
+    if (!sib || sib.get() == &lead || sib->closed() || sib->paused() ||
+        sib->health() != SessionHealth::kHealthy ||
+        sib->has_pending_chunk_.load(std::memory_order_acquire) ||
+        sib->in_ring_.size() == 0)
+      continue;
+    const int st = sib->sched_state_.load(std::memory_order_acquire);
+    if ((st == Session::kIdle || st == Session::kScheduled) &&
+        sib->next_seq_.load(std::memory_order_relaxed) == seq)
+      found[n++] = std::move(sib);
+  }
+  // Only a full octet pays.  A narrower call runs as a quad and singles,
+  // which on AVX-512 cost about what the lanes' own passes cost (3.2
+  // against 2.6-3.7 ns per channel-sample, octet 1.6, on a 4-vCPU AVX-512
+  // VM), and it would run those sessions one after another on this worker
+  // instead of in parallel on several.
+  if (n + 1 < core::FusedChainExec::kMaxLanes) return;
+  for (int i = 0; i < n; ++i) {
+    int st = found[i]->sched_state_.load(std::memory_order_acquire);
+    if ((st != Session::kIdle && st != Session::kScheduled) ||
+        !found[i]->sched_state_.compare_exchange_strong(st, Session::kRunning,
+                                                        std::memory_order_acq_rel))
+      continue;  // another worker got there first
+    group.was_scheduled[group.size] = st == Session::kScheduled;
+    group.sessions[group.size++] = std::move(found[i]);
+    // It may have run a pass between the look and the claim.
+    if (group.sessions[group.size - 1]->next_seq_.load(std::memory_order_relaxed) != seq)
+      release_sibling(sched, group, group.size - 1);
+  }
+  if (group.size + 1 < core::FusedChainExec::kMaxLanes)  // lost a race: no octet
+    while (group.size > 0) release_sibling(sched, group, group.size - 1);
+}
+
+void StreamEngine::release_sibling(common::TaskScheduler& sched, LaneGroup& group,
+                                   int g) {
+  std::shared_ptr<Session> sib = std::move(group.sessions[g]);
+  const bool was_scheduled = group.was_scheduled[g];
+  --group.size;
+  group.sessions[g] = std::move(group.sessions[group.size]);
+  group.was_scheduled[g] = group.was_scheduled[group.size];
+  int st = Session::kRunning;
+  if (!was_scheduled && sib->in_ring_.size() == 0 &&
+      sib->sched_state_.compare_exchange_strong(st, Session::kIdle,
+                                                std::memory_order_acq_rel))
+    return;  // parked again: its next nudge schedules it
+  // Taken from a run queue (that task may have run and found the sibling
+  // claimed), input still queued, or dirtied by a request while held:
+  // queue it again.
+  sib->sched_state_.store(Session::kScheduled, std::memory_order_release);
+  submit_session_task(sched, sib);
 }
 
 bool StreamEngine::try_restart(Session& s) {
@@ -504,7 +594,8 @@ bool StreamEngine::try_restart(Session& s) {
   return true;
 }
 
-bool StreamEngine::service(Session& s, std::size_t budget) {
+bool StreamEngine::service(common::TaskScheduler& sched, Session& s, std::size_t budget,
+                           LaneGroup& group) {
   s.apply_pending_retune();
   // A chunk stashed on an earlier pass (kBlock ring was full) must deliver
   // before any new block is processed -- stream order, and a pre-fault
@@ -523,119 +614,192 @@ bool StreamEngine::service(Session& s, std::size_t budget) {
     case SessionHealth::kFaulted:
       return false;  // parked; restart()/close() are the only exits
   }
+  claim_siblings(sched, s, group);
+  Lane lanes[Cohort::kCapacity];
   std::size_t processed = 0;
   for (;;) {
     if (stop_.load(std::memory_order_acquire) || s.closed() || s.paused() ||
         s.health() != SessionHealth::kHealthy)
       return false;
     if (processed >= budget) return s.in_ring_.size() > 0;
-    // The watchdog's stall detector keys on this: heartbeat_ advancing
-    // means the loop is alive; heartbeat_ frozen while busy_ stays up means
-    // the backend call below never returned.
-    s.heartbeat_.fetch_add(1, std::memory_order_release);
-    s.busy_.store(true, std::memory_order_release);
-    auto block = s.in_ring_.try_pop();
-    if (!block) {
-      s.busy_.store(false, std::memory_order_release);
-      return false;
+    Lane& lead = lanes[0];
+    if (!begin_block(s, lead)) return false;
+    int n = 1;
+    if (const core::FusedChainExec* exec = s.backend_->lane_executor()) {
+      for (int g = 0; g < group.size;) {
+        Session& sib = *group.sessions[g];
+        Lane& lane = lanes[n];
+        if (joinable(sib, *exec, lead.block.seq) && begin_block(sib, lane)) {
+          if (lane.block.seq == lead.block.seq) {
+            ++n;
+            ++g;
+            continue;
+          }
+          run_lanes(&lane, 1);  // it lost this block (a drop or a shed):
+                                // serve the one it has, alone
+        }
+        // Out of step with the leader, or unable to take this block: hand
+        // it back now rather than hold it idle for the rest of the pass.
+        release_sibling(sched, group, g);
+      }
     }
-    StreamChunk chunk;
-    chunk.block_seq = block->seq;
-    // Input-gap detection is by feed sequence, which is exact: every
-    // eviction removes an enqueued block, so a drop shows up as precisely
-    // one missing seq.  (Reading the drop counter alone would race the
-    // pump and could stamp the marker one chunk early or late.)  The
-    // counter supplies the dropped-sample tally; the pre-first-block case
-    // covers drops while the session never got to process anything yet.
-    const bool seq_gap = s.have_seq_ && block->seq != s.expected_seq_;
-    const bool lead_gap =
-        !s.have_seq_ &&
-        s.pending_dropped_samples_.load(std::memory_order_relaxed) > 0;
-    if (seq_gap || lead_gap) {
-      chunk.gap_before = GapCause::kDropOldest;
-      chunk.dropped_feed_samples =
-          s.pending_dropped_samples_.exchange(0, std::memory_order_relaxed);
-    }
-    s.expected_seq_ = block->seq + 1;
-    s.have_seq_ = true;
-    if (s.pending_flush_gap_) {
-      // A flush retune restarted the backend transient; that wins as the
-      // cause (any coincident drop count is still reported).
+    run_lanes(lanes, n);
+    group.widest = std::max(group.widest, n);
+    ++processed;
+    if (!lead.ok) return false;  // faulted, or parked until the client polls
+  }
+}
+
+bool StreamEngine::joinable(Session& s, const core::FusedChainExec& lead,
+                            std::uint64_t seq) {
+  if (s.closed() || s.paused() || s.pending_chunk_.has_value() ||
+      s.health() != SessionHealth::kHealthy)
+    return false;
+  s.apply_pending_retune();  // between its blocks, as its own pass would
+  const core::FusedChainExec* exec = s.backend_->lane_executor();
+  const std::uint64_t next = s.next_seq_.load(std::memory_order_relaxed);
+  return exec && s.health() == SessionHealth::kHealthy &&
+         exec->can_splice(lead.compiled()) && (next == Session::kNoSeq || next == seq);
+}
+
+bool StreamEngine::begin_block(Session& s, Lane& lane) {
+  // The watchdog's stall detector keys on this: heartbeat_ advancing
+  // means the loop is alive; heartbeat_ frozen while busy_ stays up means
+  // the backend call never returned.
+  s.heartbeat_.fetch_add(1, std::memory_order_release);
+  s.busy_.store(true, std::memory_order_release);
+  auto block = s.in_ring_.try_pop();
+  if (!block) {
+    s.busy_.store(false, std::memory_order_release);
+    return false;
+  }
+  lane.session = &s;
+  lane.block = std::move(*block);
+  lane.chunk = StreamChunk{};
+  lane.ok = true;
+  StreamChunk& chunk = lane.chunk;
+  chunk.block_seq = lane.block.seq;
+  // Input-gap detection is by feed sequence, which is exact: every
+  // eviction removes an enqueued block, so a drop shows up as precisely
+  // one missing seq.  (Reading the drop counter alone would race the
+  // pump and could stamp the marker one chunk early or late.)  The
+  // counter supplies the dropped-sample tally; the pre-first-block case
+  // covers drops while the session never got to process anything yet.
+  const std::uint64_t next = s.next_seq_.load(std::memory_order_relaxed);
+  const bool seq_gap = next != Session::kNoSeq && lane.block.seq != next;
+  const bool lead_gap = next == Session::kNoSeq &&
+                        s.pending_dropped_samples_.load(std::memory_order_relaxed) > 0;
+  if (seq_gap || lead_gap) {
+    chunk.gap_before = GapCause::kDropOldest;
+    chunk.dropped_feed_samples =
+        s.pending_dropped_samples_.exchange(0, std::memory_order_relaxed);
+  }
+  s.next_seq_.store(lane.block.seq + 1, std::memory_order_relaxed);
+  if (s.pending_flush_gap_) {
+    // A flush retune restarted the backend transient; that wins as the
+    // cause (any coincident drop count is still reported).
+    chunk.gap_before = GapCause::kRetuneFlush;
+    s.pending_flush_gap_ = false;
+  }
+  if (s.pending_output_drop_samples_ > 0 || s.pending_evicted_feed_samples_ > 0 ||
+      s.pending_output_marker_lost_) {
+    // Output-ring evictions since the last produced chunk: forward the
+    // loss (and any destroyed flush marker) instead of dropping it
+    // silently.  See the StreamChunk doc for the position caveat.
+    if (s.pending_output_marker_lost_)
       chunk.gap_before = GapCause::kRetuneFlush;
-      s.pending_flush_gap_ = false;
+    else if (chunk.gap_before == GapCause::kNone)
+      chunk.gap_before = GapCause::kDropOldest;
+    chunk.dropped_output_samples = s.pending_output_drop_samples_;
+    chunk.dropped_feed_samples += s.pending_evicted_feed_samples_;
+    s.pending_output_drop_samples_ = 0;
+    s.pending_evicted_feed_samples_ = 0;
+    s.pending_output_marker_lost_ = false;
+  }
+  // Shed losses: the watchdog discarded queued feed (which also shows up
+  // as a seq gap above); kShed overrides the generic kDropOldest cause
+  // but yields to retune/fault markers, and the sample tally is additive.
+  const std::uint64_t shed = s.pending_shed_samples_.exchange(0, std::memory_order_relaxed);
+  if (shed > 0) {
+    if (chunk.gap_before == GapCause::kNone || chunk.gap_before == GapCause::kDropOldest)
+      chunk.gap_before = GapCause::kShed;
+    chunk.dropped_feed_samples += shed;
+  }
+  // Strongest cause last: the first chunk after a fault restart marks the
+  // resume point (the faulted block's samples are part of the loss).
+  if (s.pending_fault_gap_) {
+    chunk.gap_before = GapCause::kFault;
+    s.pending_fault_gap_ = false;
+    chunk.dropped_feed_samples += s.pending_fault_lost_samples_;
+    s.pending_fault_lost_samples_ = 0;
+  }
+  if (chunk.gap_before != GapCause::kNone) {
+    s.stats_.gaps.fetch_add(1, std::memory_order_relaxed);
+    trace::instant(kStreamCat, tn().gap, s.id(),
+                   static_cast<std::uint64_t>(chunk.gap_before));
+  }
+  return true;
+}
+
+void StreamEngine::run_lanes(Lane lanes[], int n) {
+  const std::vector<std::int64_t>& in = *lanes[0].block.samples;
+  bool failed = false;
+  std::string what;
+  try {
+    if (n == 1) {
+      lanes[0].session->backend_->process_block(in, lanes[0].chunk.iq);
+    } else {
+      core::FusedChainExec* execs[Cohort::kCapacity];
+      std::vector<core::IqSample>* outs[Cohort::kCapacity];
+      for (int l = 0; l < n; ++l) {
+        execs[l] = lanes[l].session->backend_->lane_executor();
+        outs[l] = &lanes[l].chunk.iq;
+      }
+      core::FusedChainExec::process_lanes(execs, n, in, outs);
     }
-    if (s.pending_output_drop_samples_ > 0 || s.pending_evicted_feed_samples_ > 0 ||
-        s.pending_output_marker_lost_) {
-      // Output-ring evictions since the last produced chunk: forward the
-      // loss (and any destroyed flush marker) instead of dropping it
-      // silently.  See the StreamChunk doc for the position caveat.
-      if (s.pending_output_marker_lost_)
-        chunk.gap_before = GapCause::kRetuneFlush;
-      else if (chunk.gap_before == GapCause::kNone)
-        chunk.gap_before = GapCause::kDropOldest;
-      chunk.dropped_output_samples = s.pending_output_drop_samples_;
-      chunk.dropped_feed_samples += s.pending_evicted_feed_samples_;
-      s.pending_output_drop_samples_ = 0;
-      s.pending_evicted_feed_samples_ = 0;
-      s.pending_output_marker_lost_ = false;
-    }
-    // Shed losses: the watchdog discarded queued feed (which also shows up
-    // as a seq gap above); kShed overrides the generic kDropOldest cause
-    // but yields to retune/fault markers, and the sample tally is additive.
-    const std::uint64_t shed =
-        s.pending_shed_samples_.exchange(0, std::memory_order_relaxed);
-    if (shed > 0) {
-      if (chunk.gap_before == GapCause::kNone ||
-          chunk.gap_before == GapCause::kDropOldest)
-        chunk.gap_before = GapCause::kShed;
-      chunk.dropped_feed_samples += shed;
-    }
-    // Strongest cause last: the first chunk after a fault restart marks the
-    // resume point (the faulted block's samples are part of the loss).
-    if (s.pending_fault_gap_) {
-      chunk.gap_before = GapCause::kFault;
-      s.pending_fault_gap_ = false;
-      chunk.dropped_feed_samples += s.pending_fault_lost_samples_;
-      s.pending_fault_lost_samples_ = 0;
-    }
-    if (chunk.gap_before != GapCause::kNone) {
-      s.stats_.gaps.fetch_add(1, std::memory_order_relaxed);
-      trace::instant(kStreamCat, tn().gap, s.id(),
-                     static_cast<std::uint64_t>(chunk.gap_before));
-    }
-    try {
-      s.backend_->process_block(*block->samples, chunk.iq);
-    } catch (const std::exception& e) {
+  } catch (const std::exception& e) {
+    failed = true;
+    what = e.what();
+  } catch (...) {
+    failed = true;
+    what = "foreign exception";
+  }
+  if (failed) {
+    const std::string site = n == 1 ? "process_block: " : "process_lanes: ";
+    for (int l = 0; l < n; ++l) {
       // The faulting block is consumed, not retried: a deterministic
       // failure (this very block, this plan) would otherwise re-fire on
       // every restart forever.  Its samples -- and any loss tallies the
       // discarded chunk was already carrying -- ride the next chunk's
-      // kFault gap.
-      s.pending_fault_lost_samples_ +=
-          block->samples->size() + chunk.dropped_feed_samples;
+      // kFault gap.  Every lane faults under its own restart policy.
+      Session& s = *lanes[l].session;
+      s.pending_fault_lost_samples_ += in.size() + lanes[l].chunk.dropped_feed_samples;
       s.busy_.store(false, std::memory_order_release);
-      s.fault(FaultCause::kBackendProcess,
-              std::string("process_block: ") + e.what());
-      return false;
-    } catch (...) {
-      s.pending_fault_lost_samples_ +=
-          block->samples->size() + chunk.dropped_feed_samples;
-      s.busy_.store(false, std::memory_order_release);
-      s.fault(FaultCause::kBackendProcess, "process_block: foreign exception");
-      return false;
+      s.fault(FaultCause::kBackendProcess, site + what);
+      lanes[l].ok = false;
     }
-    s.stats_.blocks_processed.fetch_add(1, std::memory_order_relaxed);
-    s.stats_.samples_processed.fetch_add(block->samples->size(),
-                                         std::memory_order_relaxed);
-    s.stats_.samples_out.fetch_add(chunk.iq.size(), std::memory_order_relaxed);
-    s.pending_chunk_.emplace(std::move(chunk));
-    s.has_pending_chunk_.store(true, std::memory_order_release);
-    const bool delivered = deliver_chunk(s);
-    s.busy_.store(false, std::memory_order_release);
-    ++processed;
-    s.apply_pending_retune();  // between blocks, mid-stream
-    if (!delivered) return false;  // session parked until the client polls
+    return;
   }
+  if (n > 1) {
+    lane_calls_.fetch_add(1, std::memory_order_relaxed);
+    lane_blocks_.fetch_add(static_cast<std::uint64_t>(n), std::memory_order_relaxed);
+    for (int l = 0; l < n; ++l)
+      lanes[l].session->stats_.lane_blocks.fetch_add(1, std::memory_order_relaxed);
+  }
+  for (int l = 0; l < n; ++l) end_block(lanes[l]);
+}
+
+void StreamEngine::end_block(Lane& lane) {
+  Session& s = *lane.session;
+  s.stats_.blocks_processed.fetch_add(1, std::memory_order_relaxed);
+  s.stats_.samples_processed.fetch_add(lane.block.samples->size(),
+                                       std::memory_order_relaxed);
+  s.stats_.samples_out.fetch_add(lane.chunk.iq.size(), std::memory_order_relaxed);
+  s.pending_chunk_.emplace(std::move(lane.chunk));
+  s.has_pending_chunk_.store(true, std::memory_order_release);
+  lane.ok = deliver_chunk(s);  // false: parked until the client polls
+  s.busy_.store(false, std::memory_order_release);
+  s.apply_pending_retune();  // between blocks, mid-stream
 }
 
 bool StreamEngine::deliver_chunk(Session& s) {
@@ -880,7 +1044,11 @@ std::string StreamEngine::stats_json() const {
         .field("source_faults",
                static_cast<std::size_t>(
                    source_faults_.load(std::memory_order_relaxed)))
-        .field("source_fault_cause", to_string(src.cause));
+        .field("source_fault_cause", to_string(src.cause))
+        .field("lane_calls",
+               static_cast<std::size_t>(lane_calls_.load(std::memory_order_relaxed)))
+        .field("lane_blocks",
+               static_cast<std::size_t>(lane_blocks_.load(std::memory_order_relaxed)));
   }
   // The compiled-plan cache is process-wide (sessions resolve their plans
   // through it in configure/retune), so its stats describe every engine in
@@ -948,6 +1116,7 @@ std::string StreamEngine::stats_json() const {
         .field("restarts", static_cast<std::size_t>(st.restarts))
         .field("shed_events", static_cast<std::size_t>(st.shed_events))
         .field("shed_samples", static_cast<std::size_t>(st.shed_samples))
+        .field("lane_blocks", static_cast<std::size_t>(st.lane_blocks))
         .field("last_fault_cause", to_string(fault.cause))
         .field("last_fault_block", static_cast<std::size_t>(fault.block_index))
         .field("msamples_per_s",

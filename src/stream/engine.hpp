@@ -20,6 +20,16 @@
 //                 sessions on its worker.  Sessions with no work are in no
 //                 queue at all -- scheduling cost follows *active*
 //                 sessions, not open ones.
+//   lane groups   sessions whose backends expose a lane executor are put,
+//                 at open(), into cohorts of up to eight of one structure.
+//                 The worker that claims a session leads its pass: it also
+//                 claims the cohort siblings that are idle or queued and
+//                 expect the same feed block next (by CAS, never waiting;
+//                 only when all seven can join, a full octet), and for
+//                 each of its blocks serves them in the same
+//                 FusedChainExec::process_lanes call.  A sibling that falls
+//                 out of step is handed back at once; one taken from a run
+//                 queue is re-queued.
 //   client        opens/polls/retunes/closes sessions from its own threads.
 //
 // The engine is restartable: construct, open sessions (any time), start(),
@@ -39,6 +49,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/metrics.hpp"
@@ -152,6 +163,16 @@ class StreamEngine {
     return shed_blocks_.load(std::memory_order_relaxed);
   }
 
+  /// Lane-group counters (engine totals): backend calls that served two or
+  /// more cohort sessions at once, and the session-blocks those calls
+  /// served.  Each session's own share is SessionStats::lane_blocks.
+  [[nodiscard]] std::uint64_t lane_calls() const {
+    return lane_calls_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t lane_blocks() const {
+    return lane_blocks_.load(std::memory_order_relaxed);
+  }
+
   /// Serving snapshot as one JSON object: engine totals (including
   /// scheduler counters) plus one entry per session (stats + derived
   /// throughput).  Poll-safe from any thread.
@@ -171,13 +192,32 @@ class StreamEngine {
  private:
   friend class Session;
 
+  /// The cohort siblings a pass leader holds (claimed in service(); one
+  /// that drops out of step is released at once, the rest by run_session
+  /// after the pass).
+  struct LaneGroup {
+    std::shared_ptr<Session> sessions[Cohort::kCapacity - 1];
+    bool was_scheduled[Cohort::kCapacity - 1] = {};  ///< claimed from kScheduled
+    int size = 0;
+    int widest = 1;  ///< widest backend call of the pass
+  };
+  /// One session's share of one backend call: the block it popped and the
+  /// chunk being built for it.  `ok` is false once the block faulted or its
+  /// chunk could not be delivered (the session stops for this pass).
+  struct Lane {
+    Session* session = nullptr;
+    FeedBlock block;
+    StreamChunk chunk;
+    bool ok = true;
+  };
+
   void pump_loop();
   /// One scheduling pass over `session`: claim it, service up to its
-  /// weighted quantum, then park / re-queue it per the actor protocol.
-  /// `sched` is the scheduler executing the task, threaded through the
-  /// closure: during stop() the sched_ member is nulled before the
-  /// scheduler destructor finishes draining workers, so in-flight tasks
-  /// must not read the member.
+  /// weighted quantum, then park / re-queue it (and any cohort siblings
+  /// the pass held) per the actor protocol.  `sched` is the scheduler
+  /// executing the task, threaded through the closure: during stop() the
+  /// sched_ member is nulled before the scheduler destructor finishes
+  /// draining workers, so in-flight tasks must not read the member.
   void run_session(common::TaskScheduler& sched,
                    const std::shared_ptr<Session>& session);
   /// Queues a run_session task at the back of the session's home worker.
@@ -190,10 +230,41 @@ class StreamEngine {
   /// loses a request, never double-runs a session.  Caller must know the
   /// scheduler is alive (pump; or via EngineLink::scheduler_live).
   void schedule_session(Session& session);
-  /// Drains up to `budget` input blocks through the backend.  Returns true
-  /// when the session should be re-queued immediately (quantum exhausted
-  /// with input still queued).
-  bool service(Session& session, std::size_t budget);
+  /// Drains up to `budget` of `session`'s input blocks through its backend,
+  /// each block together with the blocks of the same feed position of the
+  /// cohort siblings the pass claims into `group`.  Returns true when the
+  /// session should be re-queued immediately (quantum exhausted with input
+  /// still queued).
+  bool service(common::TaskScheduler& sched, Session& session, std::size_t budget,
+               LaneGroup& group);
+  /// Claims the open, healthy cohort siblings of `lead` that have input,
+  /// sit in kIdle or kScheduled and expect the same next feed block as
+  /// `lead` (neither having processed a block counts as the same), by CAS:
+  /// a sibling another worker holds is skipped, never waited for.  Claims
+  /// none unless they and `lead` fill a whole octet (all kMaxLanes lanes).
+  void claim_siblings(common::TaskScheduler& sched, Session& lead, LaneGroup& group);
+  /// Hands claimed sibling `g` back and removes it from `group` (the last
+  /// one takes its slot): one taken from kIdle with nothing queued parks
+  /// again unless a request dirtied it meanwhile; any other is re-queued
+  /// (a queued task of its own may already have found it claimed and been
+  /// dropped; if not, the second task's claim fails harmlessly).
+  void release_sibling(common::TaskScheduler& sched, LaneGroup& group, int g);
+  /// Whether claimed sibling `s` can share `lead`'s backend call for feed
+  /// block `seq`: open, healthy, unpaused, nothing stashed, its pending
+  /// retune applied, a structure `lead` can splice with, and `seq` next in
+  /// its stream (or no block served yet).
+  bool joinable(Session& s, const core::FusedChainExec& lead, std::uint64_t seq);
+  /// Per-block prologue: heartbeat, busy_, pop, then the gap marking of the
+  /// chunk the block will produce.  False (busy_ cleared) on an empty ring.
+  bool begin_block(Session& session, Lane& lane);
+  /// One backend call over `lanes` (which share one feed block): the
+  /// backend's process_block for a single lane, FusedChainExec::
+  /// process_lanes for several.  Then each lane's epilogue -- end_block, or
+  /// on a throw its own fault under its own restart policy.
+  void run_lanes(Lane lanes[], int n);
+  /// Per-block epilogue after a successful call: stats, stash and deliver
+  /// the chunk, busy_, then any retune queued meanwhile.
+  void end_block(Lane& lane);
   /// kBackoff sessions only: if the timed retry is due, re-lowers the plan
   /// through backend configure (hence the process-wide CompiledPlanCache)
   /// and returns true on recovery.  Worker thread (it touches the backend).
@@ -239,6 +310,9 @@ class StreamEngine {
 
   mutable std::mutex sessions_mu_;
   std::vector<std::shared_ptr<Session>> sessions_;
+  /// The newest cohort per structural key; open() starts a new one once it
+  /// is full.  Guarded by sessions_mu_.
+  std::unordered_map<std::string, std::shared_ptr<Cohort>> open_cohorts_;
   std::uint64_t next_session_id_ = 0;
   /// Guarded by sessions_mu_ so open() and the start()/stop() attach/detach
   /// passes agree on whether a new session gets a worker.
@@ -279,6 +353,8 @@ class StreamEngine {
   std::atomic<std::uint64_t> shed_events_{0};
   std::atomic<std::uint64_t> shed_blocks_{0};
   std::atomic<std::uint64_t> shed_samples_{0};
+  std::atomic<std::uint64_t> lane_calls_{0};
+  std::atomic<std::uint64_t> lane_blocks_{0};
 
   /// Pump kBlock-wait publication for the watchdog's pump-stall shed
   /// trigger: the session id + 1 the pump is parked on (0 = not parked) and

@@ -217,7 +217,8 @@ void Session::set_weight(int weight) {
 }
 
 void Session::close() {
-  closed_.store(true, std::memory_order_release);
+  if (!closed_.exchange(true, std::memory_order_acq_rel) && cohort_)
+    cohort_->live.fetch_sub(1, std::memory_order_relaxed);
   in_ring_.close();  // pump pushes fail from here on
   // Free the queued feed blocks now (workers skip closed sessions, so
   // nothing else would release the shared buffers).  Pop claims are
@@ -434,6 +435,7 @@ SessionStats Session::stats() const {
   s.restarts = stats_.restarts.load(std::memory_order_relaxed);
   s.shed_events = stats_.shed_events.load(std::memory_order_relaxed);
   s.shed_samples = stats_.shed_samples.load(std::memory_order_relaxed);
+  s.lane_blocks = stats_.lane_blocks.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -13,13 +13,17 @@
 // wakeups go only there), runs at most `quantum x weight` feed blocks per
 // scheduling pass before yielding, and migrates -- home and all -- to
 // whichever worker steals its queued task.  While a session has no input
-// it is in no run queue and costs nothing.
+// it is in no run queue and costs nothing.  A session whose backend has a
+// lane executor also belongs to a Cohort of up to eight sessions of its
+// structure: a pass over any member may serve the others' blocks in the
+// same backend call.
 //
 // Threading contract: poll(), retune(), set_paused(), set_weight() and
 // close() are client calls (any one thread); the backend itself is touched
-// only by the worker currently running the session's task (the scheduler
-// guarantees one at a time) or, when the engine is not running, inline by
-// retune().  Backpressure when a ring fills is per-session and explicit:
+// only by the worker that holds the session's actor claim -- its own task,
+// or a cohort sibling's pass serving it as a lane (the claim protocol
+// guarantees one at a time) -- or, when the engine is not running, inline
+// by retune().  Backpressure when a ring fills is per-session and explicit:
 //
 //   kBlock      the producer waits -- a slow consumer throttles the pump
 //               (and through it the whole feed: conservative end-to-end
@@ -40,6 +44,7 @@
 // containment & graceful degradation".
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -156,6 +161,8 @@ struct SessionStats {
   std::uint64_t restarts = 0;          ///< successful kRestartWithBackoff recoveries
   std::uint64_t shed_events = 0;       ///< watchdog backlog sheds
   std::uint64_t shed_samples = 0;      ///< feed samples discarded by shedding
+  std::uint64_t lane_blocks = 0;       ///< blocks served in a backend call of
+                                       ///< two or more cohort lanes
 };
 
 class StreamEngine;
@@ -168,6 +175,22 @@ struct EngineLink {
   std::mutex mu;
   StreamEngine* engine = nullptr;  // guarded by mu
   bool scheduler_live = false;     // guarded by mu
+};
+
+class Session;
+
+/// Up to eight sessions opened on one structure (one structural plan key),
+/// whose executors a single FusedChainExec::process_lanes call can advance
+/// together.  StreamEngine::open() appends each lane-capable session to the
+/// newest non-full cohort of its key, under the engine's session mutex;
+/// members are never removed or re-homed (a closed or re-structured member
+/// is skipped by the pass that looks at it).  A slot is written before
+/// `size` publishes it and never changes after, so readers take no lock.
+struct Cohort {
+  static constexpr int kCapacity = 8;  ///< FusedChainExec::kMaxLanes
+  std::array<std::weak_ptr<Session>, kCapacity> members;
+  std::atomic<int> size{0};
+  std::atomic<int> live{0};  ///< members not closed yet
 };
 
 class Session : public std::enable_shared_from_this<Session> {
@@ -268,14 +291,17 @@ class Session : public std::enable_shared_from_this<Session> {
  private:
   friend class StreamEngine;
 
-  /// Actor scheduling states (sched_state_).  Only the claiming worker
-  /// moves kScheduled -> kRunning (by CAS, so a duplicate queued task is a
-  /// harmless no-op); anyone may mark a running session dirty, which makes
-  /// the worker's epilogue re-queue it.  The protocol never loses a wakeup
-  /// and never runs one session on two workers.
+  /// Actor scheduling states (sched_state_).  Only a claiming worker moves
+  /// a session to kRunning, by CAS, so a duplicate queued task is a
+  /// harmless no-op: the worker running the session's own task claims it
+  /// from kScheduled, and a pass leader claims a cohort sibling from
+  /// kIdle or kScheduled.  Anyone may mark a running session dirty, which
+  /// makes the claimer's epilogue re-queue it.  The protocol never loses a
+  /// wakeup and never runs one session on two workers.
   static constexpr int kIdle = 0;       ///< not queued, no service requested
   static constexpr int kScheduled = 1;  ///< a task is queued on some worker
-  static constexpr int kRunning = 2;    ///< a worker is inside run_session
+  static constexpr int kRunning = 2;    ///< a worker holds it: inside its
+                                        ///< run_session, or as a cohort lane
   static constexpr int kRunningDirty = 3;  ///< running + re-service requested
 
   struct AtomicStats {
@@ -299,6 +325,7 @@ class Session : public std::enable_shared_from_this<Session> {
     std::atomic<std::uint64_t> restarts{0};
     std::atomic<std::uint64_t> shed_events{0};
     std::atomic<std::uint64_t> shed_samples{0};
+    std::atomic<std::uint64_t> lane_blocks{0};
   };
 
   struct RetuneRequest {
@@ -354,6 +381,9 @@ class Session : public std::enable_shared_from_this<Session> {
   const BackpressurePolicy policy_;
 
   std::unique_ptr<core::ArchitectureBackend> backend_;
+  /// The cohort open() put this session in; null when its backend has no
+  /// lane executor.  Written once, before the session is published.
+  std::shared_ptr<Cohort> cohort_;
   BoundedRing<FeedBlock> in_ring_;
   BoundedRing<StreamChunk> out_ring_;
 
@@ -374,16 +404,21 @@ class Session : public std::enable_shared_from_this<Session> {
   /// Feed samples the watchdog shed from the input ring, not yet surfaced
   /// in-stream (watchdog writes, worker drains onto the next chunk).
   std::atomic<std::uint64_t> pending_shed_samples_{0};
+  /// The feed seq this session expects next if its stream is contiguous
+  /// (kNoSeq until it has processed a block).  Written only by the worker
+  /// holding the session; atomic so that a cohort pass leader can compare
+  /// stream positions before it tries to claim a sibling.
+  static constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
+  std::atomic<std::uint64_t> next_seq_{kNoSeq};
 
-  // Worker-only state: the scheduler runs at most one service pass at a
-  // time, and passes are ordered through the sched_state_ acquire/release
-  // protocol, so no further synchronisation is needed.
+  // Worker-only state, touched by whichever worker holds the session in
+  // kRunning (its own pass, or a leader serving it as a cohort lane).
+  // Claims are ordered through the sched_state_ acquire/release protocol,
+  // so no further synchronisation is needed.
   bool pending_flush_gap_ = false;
   bool pending_fault_gap_ = false;  ///< first post-restart chunk marks kFault
   std::uint64_t pending_fault_lost_samples_ = 0;  ///< feed samples the faulted
                                                   ///< block(s) took with them
-  std::uint64_t expected_seq_ = 0;  ///< next feed seq if the stream is contiguous
-  bool have_seq_ = false;           ///< expected_seq_ valid (a block was processed)
   std::uint64_t pending_output_drop_samples_ = 0;  ///< evicted IQ, unreported
   std::uint64_t pending_evicted_feed_samples_ = 0;  ///< feed-drop counts an
                                                     ///< evicted chunk carried

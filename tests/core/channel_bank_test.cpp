@@ -232,7 +232,7 @@ TEST(ChannelBank, EmptyInputProducesNoOutput) {
 
 // --------------------------------------------------- cross-channel packing
 //
-// Eight identical-geometry figure-1 channels form two packed quads; the
+// Eight identical-geometry figure-1 channels form one packed octet; the
 // earlier BatchEqualsIndependentRuns/ShardedEqualsSerial tests already run
 // through the packed path (4 and 5 detuned channels), so these focus on the
 // packing-specific seams: remainder lanes, the kill switch, partial blocks
@@ -254,9 +254,9 @@ void expect_bank_matches_solo(const std::vector<ChainPlan>& plans,
 }
 
 TEST(ChannelBank, PackedQuadsWithRemainderLanesMatchSolo) {
-  // 9 channels: two full quads + one leftover single lane.  Uneven block
-  // size exercises the packed tile loop's partial final tile.
-  expect_bank_matches_solo(detuned_plans(9), stimulus(2688 * 4 + 1337), 1);
+  // 5 channels: one quad + one leftover single lane.  Uneven block size
+  // exercises the packed tile loop's partial final tile.
+  expect_bank_matches_solo(detuned_plans(5), stimulus(2688 * 4 + 1337), 1);
 }
 
 TEST(ChannelBank, PackedParallelMatchesSolo) {
@@ -332,31 +332,31 @@ TEST(ChannelBank, PackedRejectsOutOfRangeInputPerLane) {
 
 // ------------------------------------------- FIR packing & octet units
 //
-// Every CIC stage and every shared-tap FIR stage packs, and on an active
-// AVX-512 tier the bank forms 8-channel octets instead of quads.  These
+// Every CIC stage and every shared-tap FIR stage packs, and the bank forms
+// 8-channel octets before quads on every tier.  These
 // tests pin the seams: octet remainder lanes, the AVX-512 runtime cap, the
 // set_packing knob, mid-stream kill-switch flips, full-scale per-lane
 // values (the widest intermediates the packed FIR's narrow_ok fallback must
 // survive), and retunes that knock one lane out of its group's phase.
 
 TEST(ChannelBank, PackedOctetsWithRemainderLanesMatchSolo) {
-  // 11 channels: one octet + 3 singles on an active AVX-512 tier, two quads
-  // + 3 singles otherwise.  Either grouping must stay solo-exact; the
-  // uneven block size exercises the packed tile loop's partial final tile.
+  // 11 channels: one octet + 3 singles, solo-exact; the uneven block size
+  // exercises the packed tile loop's partial final tile.
   expect_bank_matches_solo(detuned_plans(11), stimulus(2688 * 3 + 1337), 1);
 }
 
 TEST(ChannelBank, PackedOctetRemainderQuadMatchesSolo) {
-  // 13 channels: octet + quad + single under AVX-512, three quads + single
-  // under AVX2 -- every unit size in one bank, parallel workers included.
+  // 13 channels: octet + quad + single -- every unit size in one bank,
+  // parallel workers included.
   expect_bank_matches_solo(detuned_plans(13), stimulus(2688 * 3 + 19), 3);
 }
 
 TEST(ChannelBank, PackedAvx512CapToggleStaysBitExact) {
-  // The same population with the AVX-512 runtime cap forced off (quads
-  // only) and left at the host default (octets where the tier is live) must
-  // agree bit for bit.  On hosts without AVX-512 both runs take the quad
-  // path and the test degenerates to a self-comparison.
+  // The same population (one octet + one single) with the AVX-512 runtime
+  // cap forced off (the AVX2 octet kernels) and left at the host default
+  // (the AVX-512 ones where the tier is live) must agree bit for bit.  On
+  // hosts without AVX-512 both runs take the AVX2 path and the test
+  // degenerates to a self-comparison.
   const auto plans = detuned_plans(9);
   const auto input = stimulus(2688 * 3 + 41);
   std::vector<std::vector<IqSample>> want;

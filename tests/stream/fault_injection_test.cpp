@@ -968,6 +968,149 @@ TEST_F(FaultInjectionTest, EveryScheduledFaultAppearsInTheTraceWithItsCause) {
   EXPECT_GE(name_id("service"), 0);
 }
 
+// ----------------------------------------------------------- lane cohorts
+
+/// Queues the whole `blocks`-block feed on every session while paused, then
+/// restarts the engine unpaused: a cohort's first pass leader finds its
+/// siblings idle with input, so the stream runs as lane groups from block 0.
+void start_with_queued_feed(StreamEngine& engine,
+                            const std::vector<std::shared_ptr<Session>>& sessions,
+                            std::size_t blocks) {
+  for (const auto& s : sessions) s->set_paused(true);
+  engine.start();
+  ASSERT_TRUE(wait_until([&] {
+    return engine.feed_exhausted() &&
+           std::all_of(sessions.begin(), sessions.end(), [&](const auto& s) {
+             return s->queued_input_blocks() == blocks;
+           });
+  }));
+  engine.stop();
+  for (const auto& s : sessions) s->set_paused(false);
+  engine.start();
+}
+
+TEST_F(FaultInjectionTest, DecoratedSessionsAreNeverBatched) {
+  // A decorator (here a faulty twin whose schedule never fires) hides the
+  // inner backend's executor, so its sessions are served alone even beside
+  // native sessions of the same plans that run as one lane group.
+  constexpr std::size_t kBlock = 2048;
+  constexpr std::size_t kBlocks = 8;
+  const auto feed = make_feed(kBlock * kBlocks);
+  FaultInjector injector(fault_seed());
+  FaultSpec never;
+  never.first = ~std::uint64_t{0};
+  const std::string decorated = injector.register_faulty_backend(backends::kNative, never);
+
+  EngineOptions opts;
+  opts.workers = 1;  // the first native pass leader claims its whole cohort
+  opts.block_samples = kBlock;
+  opts.session_queue_blocks = kBlocks;
+  StreamEngine engine(std::make_unique<VectorSource>(feed), opts);
+  std::vector<std::shared_ptr<Session>> sessions;
+  std::vector<ChainPlan> plans;
+  for (int k = 0; k < 16; ++k) {
+    plans.push_back(figure1_plan(4.0e3 * (k / 2)));
+    sessions.push_back(engine.open(plans.back(), k % 2 == 0 ? backends::kNative : decorated));
+  }
+  start_with_queued_feed(engine, sessions, kBlocks);
+  auto chunks = drain_all(engine, sessions);
+  engine.stop();
+
+  std::uint64_t native_lane_blocks = 0;
+  for (std::size_t k = 0; k < sessions.size(); ++k) {
+    expect_equal(flatten(chunks[k]), one_shot(backends::kNative, plans[k], feed),
+                 "session " + std::to_string(k));
+    if (k % 2 == 0)
+      native_lane_blocks += sessions[k]->stats().lane_blocks;
+    else
+      EXPECT_EQ(sessions[k]->stats().lane_blocks, 0u) << "decorated session " << k;
+  }
+  EXPECT_GT(native_lane_blocks, 0u);
+  EXPECT_EQ(native_lane_blocks, engine.lane_blocks());
+}
+
+TEST_F(FaultInjectionTest, LaneFaultFaultsEachLaneUnderItsOwnPolicy) {
+  // Block 2 carries a sample outside the 12-bit front end.  It reaches an
+  // 8-session cohort as one lane call: the call throws for every lane, and
+  // each session takes its own fault under its own policy -- kFail
+  // sessions close with their pre-fault prefix, kRestartWithBackoff
+  // sessions re-lower and resume bit-exact at block 3.  A 14-bit session
+  // (another structure) takes the block and never notices.
+  constexpr std::size_t kBlock = 2048;
+  constexpr std::size_t kBlocks = 8;
+  constexpr std::uint64_t kBad = 2;
+  auto feed = make_feed(kBlock * kBlocks);
+  feed[kBad * kBlock + 100] = 3000;  // past 12 bits, inside 14
+
+  EngineOptions opts;
+  opts.workers = 1;  // the first pass leader claims the whole cohort
+  opts.block_samples = kBlock;
+  opts.session_queue_blocks = kBlocks;
+  opts.watchdog_interval_us = 500;
+  StreamEngine engine(std::make_unique<VectorSource>(feed), opts);
+  RestartOptions backoff;
+  backoff.policy = RestartPolicy::kRestartWithBackoff;
+  backoff.initial_backoff = std::chrono::milliseconds(1);
+  std::vector<std::shared_ptr<Session>> sessions;
+  std::vector<ChainPlan> plans;
+  for (int k = 0; k < 8; ++k) {
+    plans.push_back(figure1_plan(6.0e3 * k));
+    sessions.push_back(engine.open(plans.back(), backends::kNative));
+    if (k % 2 == 1) sessions.back()->set_restart_policy(backoff);
+  }
+  auto wide = DatapathSpec::wide16();
+  wide.input_bits = 14;
+  plans.push_back(ChainPlan::figure1(reference_config(), wide));
+  sessions.push_back(engine.open(plans.back(), backends::kNative));
+
+  start_with_queued_feed(engine, sessions, kBlocks);
+  auto chunks = drain_all(engine, sessions);
+  engine.stop();
+
+  const std::vector<std::int64_t> prefix(feed.begin(),
+                                         feed.begin() + static_cast<std::ptrdiff_t>(kBad * kBlock));
+  std::size_t lane_faults = 0;
+  for (std::size_t k = 0; k < 8; ++k) {
+    const std::string label = "session " + std::to_string(k);
+    const auto stats = sessions[k]->stats();
+    const FaultInfo fault = sessions[k]->last_fault();
+    EXPECT_EQ(stats.faults, 1u) << label;
+    EXPECT_EQ(fault.cause, FaultCause::kBackendProcess) << label;
+    EXPECT_EQ(fault.block_index, kBad) << label;
+    if (fault.what.find("process_lanes") != std::string::npos) ++lane_faults;
+    if (k % 2 == 0) {
+      EXPECT_EQ(sessions[k]->health(), SessionHealth::kFaulted) << label;
+      EXPECT_TRUE(sessions[k]->closed()) << label;
+      expect_equal(flatten(chunks[k]), replay(backends::kNative, plans[k], prefix, kBlock),
+                   label + " pre-fault prefix");
+      continue;
+    }
+    EXPECT_EQ(sessions[k]->health(), SessionHealth::kHealthy) << label;
+    EXPECT_EQ(stats.restarts, 1u) << label;
+    EXPECT_EQ(stats.blocks_processed, kBlocks - 1) << label;
+    std::size_t fault_gaps = 0;
+    for (const auto& chunk : chunks[k]) {
+      if (chunk.gap_before != GapCause::kFault) continue;
+      ++fault_gaps;
+      EXPECT_EQ(chunk.block_seq, kBad + 1) << label;
+      EXPECT_EQ(chunk.dropped_feed_samples, kBlock) << label;
+    }
+    EXPECT_EQ(fault_gaps, 1u) << label;
+    expect_equal(flatten(chunks[k]), replay(backends::kNative, plans[k], feed, kBlock, {kBad}),
+                 label + " restarted stream");
+  }
+  // One worker: the first pass leader found every sibling idle or queued
+  // and claimed the whole cohort, so block 2 reached all eight in one call.
+  EXPECT_EQ(lane_faults, 8u);
+
+  const auto other = sessions[8]->stats();
+  EXPECT_EQ(sessions[8]->health(), SessionHealth::kHealthy);
+  EXPECT_EQ(other.faults, 0u);
+  EXPECT_EQ(other.lane_blocks, 0u);  // alone in its cohort
+  expect_equal(flatten(chunks[8]), one_shot(backends::kNative, plans[8], feed),
+               "14-bit session beside the faulting cohort");
+}
+
 // ----------------------------------------------------- injector hygiene
 
 TEST_F(FaultInjectionTest, InjectorRejectsNonsenseWirings) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -19,6 +20,7 @@
 #include "src/core/backend.hpp"
 #include "src/core/datapath_spec.hpp"
 #include "src/core/ddc_config.hpp"
+#include "src/core/pipeline.hpp"
 #include "src/core/plan_compiler.hpp"
 #include "src/dsp/signal.hpp"
 #include "src/stream/sink.hpp"
@@ -918,6 +920,291 @@ TEST_F(StreamEngineTest, SixteenPlusSessionsAcrossFiveArchitectures) {
     EXPECT_EQ(sessions[i]->stats().input_drop_blocks, 0u);
   }
   EXPECT_EQ(engine.session_count(), specs.size());
+}
+
+// ------------------------------------------------------- lane cohorts
+
+/// Hands out a VectorSource feed, but only up to `limit` blocks: the pump
+/// waits inside read() until the test raises the limit, which pins where
+/// the test's mid-stream events land.  The wait gives up after 30 s so a
+/// failed assertion cannot hang the engine's stop().
+class GatedSource final : public Source {
+ public:
+  GatedSource(std::vector<std::int64_t> feed, std::uint64_t initial_limit)
+      : limit(initial_limit), inner_(std::move(feed)) {}
+
+  std::size_t read(std::span<std::int64_t> out) override {
+    wait_until([this] { return reads_ < limit.load(std::memory_order_acquire); });
+    ++reads_;
+    return inner_.read(out);
+  }
+
+  std::atomic<std::uint64_t> limit;
+
+ private:
+  VectorSource inner_;
+  std::uint64_t reads_ = 0;
+};
+
+ChainPlan burst_plan(double nco_offset_hz) {
+  auto cfg = reference_config();
+  cfg.nco_freq_hz += nco_offset_hz;
+  cfg.cic2_decimation = 12;
+  cfg.cic5_decimation = 14;
+  cfg.fir_taps = 97;
+  return ChainPlan::figure1(cfg, DatapathSpec::wide16());
+}
+
+/// A retune as the engine applied it: after `after_blocks` processed blocks.
+struct AppliedRetune {
+  std::uint64_t after_blocks = 0;
+  ChainPlan plan;
+  SwapMode mode = SwapMode::kFlush;
+};
+
+/// Replays one session's polled chunks block by block through the staged
+/// reference pipeline, applying its retunes at the recorded boundaries:
+/// each chunk must equal the reference output for the feed block it names
+/// (blocks lost to drops are simply absent from both), and carry the gap
+/// marker its history implies -- kRetuneFlush right after a flush,
+/// kDropOldest after a seq jump (counting from `first_seq`, the block the
+/// session joined at), none otherwise.
+void expect_replay(const std::vector<StreamChunk>& chunks, const ChainPlan& plan,
+                   const std::vector<AppliedRetune>& retunes,
+                   const std::vector<std::int64_t>& feed, std::size_t block,
+                   std::uint64_t first_seq, const std::string& label) {
+  core::DdcPipeline ref(plan);
+  std::size_t next_retune = 0;
+  std::uint64_t done = 0;
+  std::uint64_t next_seq = first_seq;
+  for (const auto& chunk : chunks) {
+    GapCause gap = chunk.block_seq != next_seq ? GapCause::kDropOldest : GapCause::kNone;
+    while (next_retune < retunes.size() && retunes[next_retune].after_blocks == done) {
+      ref.swap_plan(retunes[next_retune].plan, retunes[next_retune].mode);
+      if (retunes[next_retune].mode == SwapMode::kFlush) gap = GapCause::kRetuneFlush;
+      ++next_retune;
+    }
+    EXPECT_EQ(chunk.gap_before, gap) << label << " block " << chunk.block_seq;
+    next_seq = chunk.block_seq + 1;
+    const std::size_t at = static_cast<std::size_t>(chunk.block_seq) * block;
+    ASSERT_LT(at, feed.size()) << label;
+    std::vector<IqSample> want;
+    ref.process_block(
+        std::span<const std::int64_t>(feed.data() + at, std::min(block, feed.size() - at)),
+        want);
+    expect_equal(chunk.iq, want, label + " block " + std::to_string(chunk.block_seq));
+    ++done;
+  }
+  EXPECT_EQ(next_retune, retunes.size()) << label << ": a retune was never replayed";
+}
+
+TEST_F(StreamEngineTest, LaneCohortsStayBitExact) {
+  // 20 sessions of one structure on 6 NCOs (three cohorts: 8 + 8 + 4) and 2
+  // burst sessions (a cohort of their own).  Mid-stream: a session opened
+  // into the third cohort, splice and flush retunes inside the structure, a
+  // flush that moves one member to the burst structure, a close, and a
+  // paused kDropOldest member that loses blocks.  Every stream must equal
+  // its staged replay.
+  constexpr std::size_t kBlock = 4096;
+  constexpr std::uint64_t kBlocks = 40;
+  const auto feed = make_feed(kBlock * kBlocks);
+  EngineOptions opts;
+  opts.workers = 2;
+  opts.block_samples = kBlock;
+  opts.session_queue_blocks = 8;
+  auto source_owner = std::make_unique<GatedSource>(feed, 12);
+  GatedSource& source = *source_owner;
+  StreamEngine engine(std::move(source_owner), opts);
+
+  constexpr std::size_t kDropper = 19;
+  std::vector<std::shared_ptr<Session>> sessions;
+  std::vector<ChainPlan> plans;
+  std::vector<std::vector<AppliedRetune>> retunes(23);
+  for (std::size_t k = 0; k < 20; ++k) {
+    plans.push_back(figure1_plan(5.0e3 * static_cast<double>(k % 6)));
+    sessions.push_back(engine.open(plans.back(), backends::kNative,
+                                   k == kDropper ? BackpressurePolicy::kDropOldest
+                                                 : BackpressurePolicy::kBlock));
+  }
+  for (std::size_t k = 0; k < 2; ++k) {
+    plans.push_back(burst_plan(7.0e3 * static_cast<double>(k)));
+    sessions.push_back(engine.open(plans.back(), backends::kNative));
+  }
+
+  // Fill every input ring while paused (the pump parks on session 0's full
+  // ring), then restart unpaused: the first pass leader finds its siblings
+  // idle with input, so the first blocks run as lane groups.
+  for (auto& s : sessions) s->set_paused(true);
+  engine.start();
+  ASSERT_TRUE(wait_until([&] {
+    return std::all_of(sessions.begin(), sessions.end(), [&](const auto& s) {
+      return s->queued_input_blocks() == opts.session_queue_blocks;
+    });
+  }));
+  engine.stop();
+  for (auto& s : sessions) s->set_paused(false);
+  engine.start();
+  // The dropper may evict its oldest block when the pump resumes into its
+  // full ring; an evicted block counts as passed.
+  const auto processed_all = [&](std::uint64_t n) {
+    return std::all_of(sessions.begin(), sessions.end(), [&](const auto& s) {
+      const auto stats = s->stats();
+      return s->closed() || stats.blocks_processed + stats.input_drop_blocks >= n;
+    });
+  };
+  ASSERT_TRUE(wait_until([&] { return processed_all(12); }));
+  EXPECT_GT(engine.lane_calls(), 0u);
+  EXPECT_GT(engine.lane_blocks(), engine.lane_calls());
+
+  // Between blocks 11 and 12 of every stream.
+  plans.push_back(figure1_plan(2.0e3));
+  sessions.push_back(engine.open(plans.back(), backends::kNative));
+  const auto retune = [&](std::size_t k, const ChainPlan& plan, SwapMode mode) {
+    ASSERT_TRUE(sessions[k]->retune(plan, mode)) << sessions[k]->last_error();
+    retunes[k].push_back({sessions[k]->stats().last_retune_block, plan, mode});
+  };
+  retune(1, figure1_plan(11.0e3), SwapMode::kSplice);
+  retune(2, figure1_plan(13.0e3), SwapMode::kFlush);
+  retune(3, burst_plan(3.0e3), SwapMode::kFlush);  // leaves the structure
+  sessions[4]->close();
+  const std::uint64_t drops_before = sessions[kDropper]->stats().input_drop_blocks;
+  sessions[kDropper]->set_paused(true);
+  source.limit.store(28, std::memory_order_release);
+  // A retune racing the live feed: its boundary is wherever it lands.
+  retune(9, figure1_plan(17.0e3), SwapMode::kSplice);
+  ASSERT_TRUE(wait_until([&] {
+    return engine.blocks_pumped() >= 28 &&
+           sessions[kDropper]->stats().input_drop_blocks > drops_before;
+  }));
+  sessions[kDropper]->set_paused(false);
+  retune(2, figure1_plan(19.0e3), SwapMode::kSplice);
+  source.limit.store(kBlocks + 1, std::memory_order_release);  // the rest, then EOF
+  auto chunks = drain_all(engine, sessions);
+  engine.stop();
+
+  std::uint64_t lane_blocks = 0;
+  for (std::size_t k = 0; k < sessions.size(); ++k) {
+    const auto stats = sessions[k]->stats();
+    lane_blocks += stats.lane_blocks;
+    expect_replay(chunks[k], plans[k], retunes[k], feed, kBlock, k == 22 ? 12 : 0,
+                  "session " + std::to_string(k));
+    if (k == 4) {
+      EXPECT_EQ(chunks[k].size(), 12u);  // closed after its 12th block
+    } else if (k == 22) {
+      ASSERT_FALSE(chunks[k].empty());
+      EXPECT_EQ(chunks[k].front().block_seq, 12u);  // joined at the live position
+      EXPECT_EQ(stats.blocks_processed, kBlocks - 12);
+    } else if (k != kDropper) {
+      EXPECT_EQ(stats.blocks_processed, kBlocks) << "session " << k;
+    }
+  }
+  const auto dropper = sessions[kDropper]->stats();
+  EXPECT_GT(dropper.input_drop_blocks, 0u);
+  EXPECT_EQ(dropper.blocks_processed + dropper.input_drop_blocks, kBlocks);
+  EXPECT_EQ(lane_blocks, engine.lane_blocks());
+  const std::string json = engine.stats_json();
+  EXPECT_NE(json.find("\"lane_calls\": "), std::string::npos);
+  EXPECT_NE(json.find("\"lane_blocks\": "), std::string::npos);
+}
+
+/// The first number after `"key": ` in a stats_json() string.
+std::uint64_t json_count(const std::string& json, const std::string& key) {
+  const auto at = json.find("\"" + key + "\": ");
+  if (at == std::string::npos) return ~std::uint64_t{0};
+  return std::stoull(json.substr(at + key.size() + 4));
+}
+
+TEST_F(StreamEngineTest, OutOfStepLaneCohortMembersAreServedOnTheirOwn) {
+  // A full cohort, one member a block behind: A0..A6 expect block 5 with
+  // 5..12 queued, B expects block 4 with 4..11 queued (and 12 still to
+  // come).  No pass may hold B while it is out of step, and the seven level
+  // members alone cannot fill an octet, so no pass claims anyone:
+  // every task the scheduler runs is a member's own service pass (a held
+  // member's queued task would find it claimed and be dropped, and the
+  // leader would re-queue it).  One worker keeps the pass order fixed.  Once
+  // all eight have caught up with the feed they share calls again.
+  constexpr std::size_t kBlock = 2048;
+  constexpr std::uint64_t kBlocks = 32;
+  const auto feed = make_feed(kBlock * kBlocks);
+  EngineOptions opts;
+  opts.workers = 1;
+  opts.block_samples = kBlock;
+  opts.session_queue_blocks = 8;
+  auto source_owner = std::make_unique<GatedSource>(feed, 4);
+  GatedSource& source = *source_owner;
+  StreamEngine engine(std::move(source_owner), opts);
+  std::vector<ChainPlan> plans;
+  std::vector<std::shared_ptr<Session>> sessions;
+  for (int k = 0; k < 8; ++k) {
+    plans.push_back(figure1_plan(2.0e3 * k));
+    sessions.push_back(engine.open(plans.back(), backends::kNative));
+  }
+  Session& b = *sessions[7];  // opened last: the pump feeds it last
+  const auto all = [&](auto pred) {
+    return std::all_of(sessions.begin(), sessions.end(), [&](const auto& s) { return pred(*s); });
+  };
+  const auto processed = [&](std::uint64_t n) {
+    return wait_until([&] {
+      return all([n](const Session& s) { return s.stats().blocks_processed == n; });
+    });
+  };
+  const auto set_paused = [&](bool paused) {
+    for (auto& s : sessions) s->set_paused(paused);
+  };
+  const auto queued_full = [&] {
+    return wait_until([&] {
+      return all([](const Session& s) { return s.queued_input_blocks() == 8; });
+    });
+  };
+  const auto passes = [&] {
+    std::uint64_t n = 0;
+    for (auto& s : sessions) n += s->stats().service_passes;
+    return n;
+  };
+
+  engine.start();
+  ASSERT_TRUE(processed(4));
+  b.set_paused(true);
+  source.limit.store(5, std::memory_order_release);
+  ASSERT_TRUE(wait_until([&] {
+    return all([&](const Session& s) { return &s == &b || s.stats().blocks_processed == 5; });
+  }));
+  // Blocks 5..12: A0..A6 take 5..12, B takes 5..11 behind its queued 4, and
+  // the pump parks on B's full ring with block 12.
+  set_paused(true);
+  source.limit.store(13, std::memory_order_release);
+  ASSERT_TRUE(queued_full());
+  engine.stop();
+  const std::uint64_t passes_before = passes();
+  const std::uint64_t b_passes_before = b.stats().service_passes;
+  const std::uint64_t lane_calls_before = engine.lane_calls();
+  set_paused(false);
+  engine.start();  // a fresh scheduler: its task count starts at 0
+  ASSERT_TRUE(processed(13));
+  EXPECT_TRUE(wait_until(
+      [&] { return json_count(engine.stats_json(), "tasks_executed") == passes() - passes_before; },
+      std::chrono::seconds(5)))
+      << "tasks " << json_count(engine.stats_json(), "tasks_executed") << ", own passes "
+      << passes() - passes_before;
+  EXPECT_GE(b.stats().service_passes - b_passes_before, 2u);
+  EXPECT_EQ(engine.lane_calls(), lane_calls_before);
+
+  // All eight now expect block 13.  Queue 13..20 while paused (the pump
+  // parks on A0's full ring), then restart unpaused: they run as lanes.
+  set_paused(true);
+  source.limit.store(kBlocks + 1, std::memory_order_release);  // the rest, then EOF
+  ASSERT_TRUE(queued_full());
+  engine.stop();
+  set_paused(false);
+  engine.start();
+  auto chunks = drain_all(engine, sessions);
+  engine.stop();
+  for (std::size_t k = 0; k < sessions.size(); ++k) {
+    const auto stats = sessions[k]->stats();
+    EXPECT_EQ(stats.blocks_processed, kBlocks) << "session " << k;
+    EXPECT_GT(stats.lane_blocks, 0u) << "session " << k;
+    expect_replay(chunks[k], plans[k], {}, feed, kBlock, 0, "session " + std::to_string(k));
+  }
 }
 
 }  // namespace
